@@ -39,6 +39,7 @@ from pathlib import Path
 
 from benchmarks.conftest import print_series
 from repro.negotiation.engine import negotiate
+from repro.obs.metrics import percentile
 from repro.perf import clear_all_caches
 from repro.scenario.workloads import capacity_workload, chain_workload
 from repro.services.aio import AioSimTransport, AioTNClient, AioTNWebService
@@ -80,17 +81,11 @@ def _merge_report(section: str, payload: dict) -> None:
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
 
-def _percentile(samples: list[float], q: float) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def _session_stats(deltas: list[float]) -> dict:
     return {
         "sessions": len(deltas),
-        "sim_ms_p50": round(_percentile(deltas, 0.50), 3),
-        "sim_ms_p95": round(_percentile(deltas, 0.95), 3),
+        "sim_ms_p50": round(percentile(deltas, 50), 3),
+        "sim_ms_p95": round(percentile(deltas, 95), 3),
         "sim_ms_max": round(max(deltas), 3),
     }
 

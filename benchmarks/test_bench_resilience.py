@@ -38,6 +38,7 @@ from repro.api import WorkloadRunner
 from repro.cluster import AioShardedTNService, HedgePolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
+from repro.obs.metrics import percentile
 from repro.scenario.workloads import capacity_workload
 from repro.services import tn_client
 from repro.services.aio import AioSimTransport, AioTNClient
@@ -81,12 +82,6 @@ def _merge_report(section: str, payload: dict) -> None:
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
 
-def _percentile(samples: list[float], q: float) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def _run_formation_storm(fixture, hedged: bool) -> dict:
     """Drive SESSIONS full negotiations against a cluster with one
     SLOW shard; per-session latency measured on clock branches."""
@@ -123,8 +118,8 @@ def _run_formation_storm(fixture, hedged: bool) -> dict:
     stats = {
         "mode": "hedged" if hedged else "unhedged",
         "sessions": SESSIONS,
-        "sim_ms_p50": round(_percentile(deltas, 0.50), 3),
-        "sim_ms_p99": round(_percentile(deltas, 0.99), 3),
+        "sim_ms_p50": round(percentile(deltas, 50), 3),
+        "sim_ms_p99": round(percentile(deltas, 99), 3),
         "sim_ms_max": round(max(deltas), 3),
         "transport_attempts": transport.calls,
         "hedges_fired": cluster.hedge_stats.fired,

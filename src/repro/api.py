@@ -22,10 +22,9 @@ Three kinds of names live here:
    their canonical names.
 3. The :mod:`repro.obs` observability module itself, as ``obs``.
 
-Importing from the historical package shortcuts ``repro.services`` and
-``repro.faults`` still works but emits a :class:`DeprecationWarning`
-pointing here; the deep module paths (``repro.services.tn_service``
-etc.) remain canonical and warning-free.
+The packages ``repro.services`` and ``repro.faults`` re-export
+nothing; the deep module paths (``repro.services.tn_service`` etc.)
+are canonical.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from repro.hardening import (
     ProtocolGuard,
     SoakConfig,
     SoakReport,
-    run_soak,
+    chaos_soak,
 )
 from repro.negotiation.agent import TrustXAgent
 from repro.negotiation.cache import CachingNegotiator, SequenceCache
@@ -347,7 +346,7 @@ __all__ = [
     "Priority",
     "SoakConfig",
     "SoakReport",
-    "run_soak",
+    "chaos_soak",
     # perf
     "perf_cache_stats",
     "caches_disabled",

@@ -43,8 +43,10 @@ Commands:
     ``--report PATH``).  ``--shards N --kill-every K`` deploys a
     sharded TN cluster and interleaves kill/restart drills (with
     ``--wal-dir`` for durable journals and ``--audit-log`` for a
-    verified hash-chained event log).  Exits non-zero when any
-    invariant is violated.
+    verified hash-chained event log), ``--retract-every N`` adds
+    mid-negotiation revocation drills, and ``--asyncio`` runs the same
+    drills with the asyncio driver.  Exits non-zero when any invariant
+    is violated.
 
 ``scenarios``
     Run the open-world scenario engine and/or the exemplar experiments
@@ -627,9 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "and verify it as an invariant")
     soak_parser.add_argument("--asyncio", dest="asyncio_mode",
                              action="store_true",
-                             help="run the asyncio-native soak: concurrent "
-                             "task lanes, hedged starts, and health-aware "
-                             "shard routing (see repro.hardening.aio_soak)")
+                             help="run the same drills with the asyncio "
+                             "driver: concurrent task lanes, hedged starts, "
+                             "and health-aware shard routing (see "
+                             "repro.hardening.aio_soak)")
     soak_parser.set_defaults(func=_cmd_soak)
 
     scenarios_parser = sub.add_parser(

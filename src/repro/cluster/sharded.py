@@ -13,7 +13,7 @@ when present, else the requester name) onto the ring; the minted
 negotiation id is pinned to that shard in the placement map, and the
 phase operations follow the pin.  Forwarding goes through whatever
 transport the router was built on — stack it on a
-:class:`~repro.faults.FaultInjector` and shard hops become faultable
+:class:`~repro.faults.injector.FaultInjector` and shard hops become faultable
 calls like any other.
 
 Failover: a forward that fails with a transport-level error (endpoint

@@ -10,7 +10,6 @@ issuer names to their current lists.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -101,22 +100,6 @@ class RevocationRegistry:
         self._lists[crl.issuer] = crl
         self._snapshots[crl.issuer] = frozenset(crl.serials)
         return frozenset(crl.serials) - previous
-
-    def publish(self, crl: RevocationList) -> None:
-        """Deprecated — retract a CRL-publication :class:`TrustEvent`
-        through :class:`repro.trust.TrustBus` (re-exported by
-        :mod:`repro.api`) instead, which also evicts the cached
-        verdicts the new list contradicts."""
-        warnings.warn(
-            "RevocationRegistry.publish is deprecated; retract a "
-            "TrustEvent through repro.trust.TrustBus (see repro.api), "
-            "e.g. TrustBus(registry).publish_crl(crl)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.trust import TrustBus
-
-        TrustBus(registry=self).publish_crl(crl)
 
     def list_for(self, issuer: str) -> Optional[RevocationList]:
         return self._lists.get(issuer)

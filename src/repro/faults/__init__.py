@@ -25,49 +25,9 @@ All injected delays are charged to the
 :class:`~repro.services.clock.SimClock`; nothing depends on wall-clock
 time or unseeded randomness.
 
-.. deprecated:: 1.1
-   Importing these classes from ``repro.faults`` directly is
-   deprecated; import them from :mod:`repro.api` or from the canonical
-   modules ``repro.faults.plan`` / ``repro.faults.injector``.
-   Package-level access still works but emits a
-   :class:`DeprecationWarning`.
+Import the classes from :mod:`repro.api` or from the canonical modules
+``repro.faults.plan`` / ``repro.faults.injector``; the package itself
+re-exports nothing.
 """
 
-from __future__ import annotations
-
-import warnings
-from importlib import import_module
-
-__all__ = [
-    "FaultKind", "FaultSpec", "FaultPlan", "FaultInjector",
-    "Probe", "build_probe",
-]
-
-#: Name -> canonical deep module, resolved lazily by ``__getattr__``.
-_FORWARDS = {
-    "FaultKind": "repro.faults.plan",
-    "FaultSpec": "repro.faults.plan",
-    "FaultPlan": "repro.faults.plan",
-    "FaultInjector": "repro.faults.injector",
-    "Probe": "repro.faults.adversarial",
-    "build_probe": "repro.faults.adversarial",
-}
-
-
-def __getattr__(name: str):
-    module_path = _FORWARDS.get(name)
-    if module_path is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    warnings.warn(
-        f"importing {name!r} from 'repro.faults' is deprecated; use "
-        f"'repro.api' or the canonical module {module_path!r}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(import_module(module_path), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__all__: list[str] = []

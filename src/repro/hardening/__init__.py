@@ -17,10 +17,12 @@ proves the protection holds:
   deadline-expired work shed before the engine pays for it.
 - :mod:`repro.hardening.fuzz` — a corpus of malformed / out-of-order
   probes with expected rejection codes, for directed boundary testing.
-- :mod:`repro.hardening.soak` — the chaos-soak driver: thousands of
-  negotiations under mixed adversarial faults and overload bursts,
-  with an invariant checker over disclosure safety, session
-  terminality, admission reconciliation, and exception hygiene.
+- :mod:`repro.hardening.soak` — the chaos soak: a seeded plan of
+  drills (negotiations, impostors, overload bursts, shard kills,
+  credential retractions, the fuzz corpus) run by a sync or an asyncio
+  driver (:mod:`repro.hardening.aio_soak`), with one invariant sweep
+  over disclosure safety, session terminality, admission
+  reconciliation, and exception hygiene.
 
 All knobs live on :class:`HardeningConfig`; a service constructed with
 one gets the guard and admission control, a service constructed
@@ -49,8 +51,10 @@ from repro.hardening.soak import (
     InvariantViolation,
     SoakConfig,
     SoakReport,
+    SoakStep,
+    chaos_soak,
     check_service_invariants,
-    run_soak,
+    soak_plan,
 )
 
 __all__ = [
@@ -69,7 +73,9 @@ __all__ = [
     "run_probe",
     "SoakConfig",
     "SoakReport",
+    "SoakStep",
     "InvariantViolation",
-    "run_soak",
+    "soak_plan",
+    "chaos_soak",
     "check_service_invariants",
 ]

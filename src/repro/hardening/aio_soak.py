@@ -1,35 +1,27 @@
-"""The asyncio chaos soak: concurrent lanes, hedges, kills, invariants.
+"""The asyncio driver of the chaos soak.
 
-The classic soak (:mod:`repro.hardening.soak`) drives one negotiation
-at a time through the sync stack.  This twin drives **waves of
-concurrent asyncio tasks** through the async stack —
+The plan, the drills, and the invariant sweep live in
+:mod:`repro.hardening.soak`; this driver only builds the async stack —
 
-``AioTNClient lanes → AioResilientTransport → FaultInjector.acall →
+``AioTNClient → AioResilientTransport → FaultInjector.acall →
 AioSimTransport → AioShardedTNService``
 
-— so the machinery that only exists under concurrency gets soaked:
-per-endpoint circuit breakers shared across tasks (one half-open probe
-per reset window, siblings fail fast), hedged ``StartNegotiation``
-racing ring-successor shards, health-based ejection of a deliberately
-slowed shard and its probe-driven re-admission, and mid-flight shard
-kills landing *while sibling tasks hold open sessions on the victim*.
+— and runs the plan in **waves of concurrent tasks**, one wave per
+``len(lanes)`` negotiation indices, so the machinery that only exists
+under concurrency gets soaked: per-endpoint circuit breakers shared
+across tasks (one half-open probe per reset window, siblings fail
+fast), hedged ``StartNegotiation`` racing ring-successor shards,
+health-based ejection of a deliberately slowed shard and its
+probe-driven re-admission, and shard kills and credential retractions
+landing *while sibling tasks hold open sessions*.
 
-Each task runs on its own :meth:`~repro.services.transport.SimTransport
-.clock_branch`, so backoff and latency are charged to private
-timelines exactly like the sync soak charges its single timeline; the
-run's ``elapsed_sim_ms`` is the horizon of all branches (critical
-path), and the final TTL drain advances the base clock past that
-horizon before reaping.
-
-What carries over from the sync soak: network + adversarial fault
-storms, low-priority admission bursts (with pre-expired deadlines),
-Byzantine impostors, periodic reaping, kill/torn-WAL drills, and the
-full invariant sweep (disclosure safety, session terminality, terminal
-durability, admission reconciliation, probe + exception hygiene,
-impostor rejection, liveness, audit chain).  What stays sync-only: the
-fuzz-corpus replay and retraction drills (both already exercised every
-run of the sync soak against the same service code; ``retract_every``
-is rejected here rather than silently ignored).
+Client drills run on their own :meth:`~repro.services.transport
+.SimTransport.clock_branch`, so backoff and latency are charged to
+private timelines exactly like the sync driver charges its single
+timeline; the fuzz replay and admission bursts (bare-transport peers)
+run on the shared base timeline, and reaps run between waves.
+The final drain advances the base clock past the horizon of all
+branches (the critical path) before reaping.
 
 A deliberately slowed shard (``FaultKind.SLOW`` with a strike
 ``limit``) exercises the health router end to end: the shard is
@@ -40,36 +32,21 @@ re-admitted once the fault budget is spent.
 from __future__ import annotations
 
 import asyncio
-import random
-from typing import Optional
+import itertools
 
-from repro.errors import (
-    CircuitOpenError,
-    DeadlineExpiredError,
-    OverloadError,
-    ReproError,
-)
-from repro.faults.plan import FaultKind, FaultPlan
+from repro.faults.plan import FaultKind
 from repro.hardening.soak import (
-    _ADVERSARIAL_KINDS,
-    _NETWORK_KINDS,
-    InvariantViolation,
+    _LATENCY,
+    Negotiate,
     SoakConfig,
     SoakReport,
-    _check_disclosure_safety,
-    _record,
-    check_service_invariants,
+    SoakRun,
+    SoakStep,
+    _fault_plan,
+    adrive,
 )
-from repro.obs import (
-    ObsConfig,
-    count as obs_count,
-    disable as obs_disable,
-    enable as obs_enable,
-    event as obs_event,
-)
-from repro.obs.audit import verify_audit_log
 
-__all__ = ["run_aio_soak"]
+__all__ = ["aio_soak"]
 
 #: Simulated duration of one injected SLOW fault — far above the
 #: health policy's ``slow_after_ms`` so every slowed call is a strike.
@@ -82,53 +59,32 @@ _PROBE_INTERVAL_MS = 1000.0
 #: (threshold 3) and keep a couple of probes failing before the fault
 #: is spent and a probe re-admits it.
 _SLOW_STRIKES = 6
+#: Drills that act on the service rather than as a client: they run
+#: on the shared base timeline, not a branch.
+_BASE_TIMELINE = frozenset({"fuzz", "burst", "reap"})
 
 
-def run_aio_soak(config: Optional[SoakConfig] = None) -> SoakReport:
-    """Run the asyncio chaos soak and return its invariant report."""
-    config = config or SoakConfig(asyncio_mode=True)
-    if config.retract_every:
-        raise ValueError(
-            "retraction drills are sync-soak-only; run the asyncio soak "
-            "with retract_every=0"
-        )
-    return asyncio.run(_soak(config))
-
-
-async def _soak(config: SoakConfig) -> SoakReport:
-    # Imported here for the same reason the sync soak does: the
+def _aio_run(config: SoakConfig) -> SoakRun:
+    """Build the async stack around a sharded cluster (one shard in the
+    single-service mode), hedging and slowing a shard when there are
+    several."""
+    # Imported here for the same reason the sync driver does: the
     # scenario/service layers import ``repro.hardening.config`` at
     # module load, so top-level imports would close an import cycle.
     from repro.cluster import AioShardedTNService, HedgePolicy, HealthPolicy
-    from repro.crypto.keys import KeyPair
     from repro.faults.injector import FaultInjector
-    from repro.negotiation.agent import TrustXAgent
     from repro.negotiation.cache import SequenceCache
     from repro.scenario.workloads import capacity_workload
-    from repro.services.aio import AioSimTransport, AioTNClient
+    from repro.services.aio import AioSimTransport
     from repro.services.aio_resilience import AioResilientTransport
     from repro.services.resilience import RetryPolicy
     from repro.services.transport import LatencyModel
+    from repro.trust import TrustBus
 
-    rng = random.Random(config.seed)
-    report = SoakReport(seed=config.seed, negotiations=config.negotiations)
-
-    if config.audit_log_path is not None:
-        obs_enable(ObsConfig(audit_path=config.audit_log_path))
-
-    # The same compressed latency model as the sync soak: the soak
-    # measures invariants, not Fig. 9 absolute times.
     fixture = capacity_workload(max(1, config.roles))
-    base = AioSimTransport(model=LatencyModel(
-        network_rtt_ms=1.0, soap_marshal_ms=0.5, service_dispatch_ms=0.5,
-        db_connect_ms=2.0, db_read_ms=0.2, db_write_ms=0.3,
-        crypto_sign_ms=0.5, crypto_verify_ms=0.2,
-        ui_interaction_ms=4.0, mail_delivery_ms=3.0,
-    ))
-    shards = config.cluster_shards if config.cluster_shards > 0 else 1
-    plan = FaultPlan(
-        seed=config.seed, timeout_wait_ms=250.0, slow_ms=_SLOW_MS
-    )
+    base = AioSimTransport(model=LatencyModel(**_LATENCY))
+    shards = max(1, config.cluster_shards)
+    plan = _fault_plan(config, "urn:vo:tn", slow_ms=_SLOW_MS)
     injector = FaultInjector(inner=base, plan=plan)
     resilient = AioResilientTransport(
         inner=injector,
@@ -138,7 +94,7 @@ async def _soak(config: SoakConfig) -> SoakReport:
     # The cluster forwards shard-bound traffic through the *same*
     # resilient transport, so router-to-shard hops get retries and the
     # injector can target individual shard URLs (the slow-shard drill).
-    service = cluster = AioShardedTNService(
+    cluster = AioShardedTNService(
         fixture.controller,
         resilient,
         url="urn:vo:tn",
@@ -153,14 +109,6 @@ async def _soak(config: SoakConfig) -> SoakReport:
             probe_interval_ms=_PROBE_INTERVAL_MS,
         ),
     )
-    base_clock = base.base_clock
-    started_ms = base_clock.elapsed_ms
-    horizon_ms = started_ms  # max branch time seen across all tasks
-
-    for kind in _ADVERSARIAL_KINDS:
-        plan.randomly(kind, config.adversarial_probability, url=service.url)
-    for kind in _NETWORK_KINDS:
-        plan.randomly(kind, config.network_probability, url=service.url)
     if shards > 1:
         # The slow-shard drill: shard 0 answers, but 4 s late, until
         # the strike budget is spent — ejection, failed probes, then
@@ -168,311 +116,60 @@ async def _soak(config: SoakConfig) -> SoakReport:
         plan.always(
             FaultKind.SLOW, url=cluster.nodes()[0].url, limit=_SLOW_STRIKES
         )
-
-    resource = fixture.resource
-    at = fixture.negotiation_time()
-    lanes = [
-        AioTNClient(
-            transport=resilient, service_url=service.url, agent=agent
-        )
-        for agent in fixture.requesters
-    ]
     agents = {agent.name: agent for agent in fixture.requesters}
     agents[fixture.controller.name] = fixture.controller
+    return SoakRun(
+        config=config,
+        service=cluster,
+        cluster=cluster,
+        resilient=resilient,
+        raw=base,
+        injector=injector,
+        lanes=[(agent, fixture.resource) for agent in fixture.requesters],
+        agents=agents,
+        at=fixture.negotiation_time(),
+        trust_bus=TrustBus(registry=fixture.revocations),
+        authority=fixture.authority,
+        tag="aio-soak",
+    )
 
-    results = []
-    kills = 0
 
-    def merge(branch) -> None:
-        nonlocal horizon_ms
-        horizon_ms = max(horizon_ms, branch.elapsed_ms)
+def aio_soak(config: SoakConfig, plan: list[SoakStep]) -> SoakReport:
+    """Run the plan in waves of concurrent tasks on the async stack."""
+    from repro.services.aio import AioTNClient
 
-    def record_error(exc: ReproError) -> None:
-        code = getattr(exc, "error_code", None)
-        _record(
-            report.client_errors,
-            code.value if code else type(exc).__name__,
-        )
+    run = _aio_run(config)
+    url = run.service.url
 
-    async def drive(client) -> Optional[object]:
-        """One negotiation on the current task's clock branch."""
-        try:
-            return await client.negotiate(resource, at=at)
-        except CircuitOpenError:
-            # Wait out the reset window on this task's branch and give
-            # the endpoint its (single) half-open probe.
-            report.breaker_pauses += 1
-            resilient.clock.advance(
-                resilient.breaker_policy.reset_timeout_ms + 1.0
-            )
-            try:
-                return await client.negotiate(resource, at=at)
-            except ReproError as exc:
-                record_error(exc)
-                return None
-        except ReproError as exc:
-            record_error(exc)
-            return None
+    async def perform(effect):
+        if isinstance(effect, Negotiate):
+            client = AioTNClient(run.resilient, url, effect.agent)
+            return await client.negotiate(effect.resource, at=run.at)
+        transport = run.raw if effect.raw else run.resilient
+        return await transport.acall(url, effect.operation, effect.payload)
 
-    async def negotiation(index: int, byzantine: bool) -> None:
-        client = lanes[index % len(lanes)]
-        if byzantine:
-            report.byzantine_attempts += 1
-            victim = client.agent
-            client = AioTNClient(
-                transport=resilient,
-                service_url=service.url,
-                agent=TrustXAgent(
-                    name=victim.name,
-                    profile=victim.profile,
-                    policies=victim.policies,
-                    keypair=KeyPair.generate(512),
-                    validator=victim.validator,
-                    strategy=victim.strategy,
-                ),
-            )
-        with resilient.clock_branch() as branch:
-            try:
-                result = await drive(client)
-            except Exception as exc:  # noqa: BLE001 - the invariant itself
-                report.unhandled.append(
-                    f"negotiation {index}: {type(exc).__name__}: {exc}"
-                )
-                result = None
-            merge(branch)
-        if result is None:
+    async def task(step: SoakStep) -> None:
+        if step.drill in _BASE_TIMELINE:
+            await adrive(run.drill(step), perform)
             return
-        if byzantine:
-            if result.success:
-                report.byzantine_successes += 1
-        elif result.success:
-            report.successes += 1
-            results.append(result)
-        else:
-            reason = (
-                result.failure_reason.value
-                if result.failure_reason else "unknown"
-            )
-            _record(report.failures, reason)
-            results.append(result)
-
-    async def kill_drill(index: int, lane) -> None:
-        """Phase-split negotiation whose serving shard dies mid-way —
-        fired into the same wave as live sibling negotiations, so the
-        kill also lands on *their* in-flight sessions."""
-        nonlocal kills
-        agent = lane.agent
-        with resilient.clock_branch() as branch:
+        with run.resilient.clock_branch() as branch:
             try:
-                start = await resilient.acall(
-                    service.url, "StartNegotiation", {
-                        "requester": agent,
-                        "strategy": "standard",
-                        "counterpartUrl": f"urn:repro:{agent.name}",
-                        "requestId": f"aio-soak-kill-{index}",
-                    },
-                )
-                negotiation_id = start.get("negotiationId")
-                if not negotiation_id:
-                    _record(report.client_errors, "no-negotiation-id")
-                    return
-                await resilient.acall(service.url, "PolicyExchange", {
-                    "negotiationId": negotiation_id, "resource": resource,
-                    "at": at, "clientSeq": 1,
-                })
-                victim = cluster.placement_index(negotiation_id)
-                if victim is not None and len(cluster.live_nodes()) > 1:
-                    kills += 1
-                    if (
-                        config.torn_write_every_kill > 0
-                        and kills % config.torn_write_every_kill == 0
-                    ):
-                        cluster.tear_wal(victim)
-                    cluster.kill_node(victim)
-                try:
-                    exchange = await resilient.acall(
-                        service.url, "CredentialExchange",
-                        {"negotiationId": negotiation_id, "clientSeq": 2},
-                    )
-                except ReproError:
-                    # The adopted checkpoint may predate PolicyExchange
-                    # (torn WAL): replay the phase against the
-                    # successor, idempotently.
-                    await resilient.acall(service.url, "PolicyExchange", {
-                        "negotiationId": negotiation_id,
-                        "resource": resource, "at": at, "clientSeq": 3,
-                    })
-                    exchange = await resilient.acall(
-                        service.url, "CredentialExchange",
-                        {"negotiationId": negotiation_id, "clientSeq": 4},
-                    )
-                result = exchange.get("result")
-            except ReproError as exc:
-                record_error(exc)
-                return
-            except Exception as exc:  # noqa: BLE001 - the invariant itself
-                report.unhandled.append(
-                    f"kill-drill {index}: {type(exc).__name__}: {exc}"
-                )
-                return
+                await adrive(run.drill(step), perform)
             finally:
-                merge(branch)
-        if result is None or not hasattr(result, "success"):
-            _record(report.client_errors, "no-result")
-        elif result.success:
-            report.successes += 1
-            results.append(result)
-        else:
-            reason = (
-                result.failure_reason.value
-                if result.failure_reason else "unknown"
-            )
-            _record(report.failures, reason)
-            results.append(result)
+                run.horizon_ms = max(run.horizon_ms, branch.elapsed_ms)
 
-    async def burst(index: int, lane) -> None:
-        """A low-priority flood straight at the raw transport (no
-        retries); the first two probes carry pre-expired deadlines."""
-        report.bursts += 1
-        for probe_index in range(config.burst_size):
-            payload = {
-                "requester": lane.agent,
-                "strategy": "standard",
-                "counterpartUrl": "urn:repro:burst",
-                "requestId": f"aio-soak-burst-{index}-{probe_index}",
-                "priority": "identification",
-            }
-            if probe_index < 2:
-                payload["deadlineMs"] = base.clock.elapsed_ms - 1.0
-            try:
-                await base.acall(service.url, "StartNegotiation", payload)
-            except OverloadError:
-                report.burst_sheds += 1
-            except DeadlineExpiredError:
-                report.deadline_sheds += 1
-            except ReproError as exc:
-                record_error(exc)
-            except Exception as exc:  # noqa: BLE001
-                report.unhandled.append(
-                    f"burst {index}.{probe_index}: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-
-    # -- the storm, in waves of one task per lane -----------------------------
-    index = 0
-    while index < config.negotiations:
-        wave_end = min(index + len(lanes), config.negotiations)
-        tasks = []
-        for i in range(index, wave_end):
-            byzantine = (
-                config.byzantine_every > 0
-                and (i + 1) % config.byzantine_every == 0
-            )
-            tasks.append(negotiation(i, byzantine))
-            # Drill lanes are drawn *here*, sequentially, so the seeded
-            # rng stream never depends on task interleaving.
-            if (
-                config.burst_every > 0
-                and (i + 1) % config.burst_every == 0
-            ):
-                tasks.append(burst(i, lanes[rng.randrange(len(lanes))]))
-            if (
-                shards > 1
-                and config.node_kill_every > 0
-                and (i + 1) % config.node_kill_every == 0
-            ):
-                tasks.append(kill_drill(i, lanes[rng.randrange(len(lanes))]))
-        await asyncio.gather(*tasks)
-        if config.reap_every > 0 and (
-            index // config.reap_every != wave_end // config.reap_every
+    async def waves() -> None:
+        width = len(run.lanes)
+        for _, wave in itertools.groupby(
+            plan, key=lambda step: step.index // width
         ):
-            report.reaped += service.reap_expired()
-        index = wave_end
+            wave = list(wave)
+            await asyncio.gather(*(
+                task(step) for step in wave if step.drill != "reap"
+            ))
+            for step in wave:
+                if step.drill == "reap":
+                    await task(step)
 
-    # -- drain: revive, age out, reap ----------------------------------------
-    for node in cluster.nodes():
-        if not node.live:
-            cluster.restart_node(node.index)
-    # Branch timelines ran ahead of the base clock; advance the base
-    # past the horizon plus the TTL so every abandoned session is due.
-    base_clock.advance(
-        max(0.0, horizon_ms - base_clock.elapsed_ms)
-        + config.hardening.session_ttl_ms + 1.0
-    )
-    report.reaped += service.reap_expired()
-    report.elapsed_sim_ms = base_clock.elapsed_ms - started_ms
-    report.backpressure_waits = resilient.stats.backpressure_waits
-    report.internal_errors = service.internal_errors
-    if service.guard is not None:
-        report.guard_validated = service.guard.stats.validated
-        report.guard_rejected = service.guard.stats.rejected
-        report.guard_by_code = dict(service.guard.stats.by_code)
-    if service.admission is not None:
-        stats = service.admission.stats
-        report.admission_offered = stats.offered
-        report.admission_admitted = stats.admitted
-        report.admission_shed = stats.shed
-        report.admission_expired = stats.expired
-    report.probes_fired = {
-        kind.value: count
-        for kind, count in injector.injected.items()
-        if kind.adversarial and count
-    }
-    report.probe_rejections = len(injector.probe_rejections)
-    report.probe_anomalies = list(injector.probe_anomalies)
-    report.node_kills = cluster.kills
-    report.node_restarts = cluster.restarts
-    report.failovers = cluster.failovers
-    report.sessions_recovered = cluster.sessions_recovered
-    report.wal_records = cluster.wal_records()
-    report.torn_records_discarded = cluster.torn_records_discarded()
-    report.hedges_fired = cluster.hedge_stats.fired
-    report.hedges_won = cluster.hedge_stats.won
-    report.hedges_cancelled = cluster.hedge_stats.cancelled
-    if cluster.health is not None:
-        report.shard_ejections = cluster.health.total_ejections()
-        report.shard_readmissions = cluster.health.total_readmissions()
-        report.health_probes = cluster.health_probes
-
-    # -- invariants -----------------------------------------------------------
-    def violate(invariant: str, detail: str) -> None:
-        report.violations.append(InvariantViolation(invariant, detail))
-
-    check_service_invariants(service, violate, cluster=cluster)
-    for anomaly in injector.probe_anomalies:
-        violate("probe-hygiene", anomaly)
-    if report.byzantine_successes:
-        violate(
-            "impostor-rejection",
-            f"{report.byzantine_successes} Byzantine impostor "
-            "negotiations succeeded",
-        )
-    if not report.successes:
-        violate("liveness", "no negotiation succeeded during the soak")
-    if report.hedges_won > report.hedges_fired:
-        violate(
-            "hedge-accounting",
-            f"{report.hedges_won} hedge wins out of "
-            f"{report.hedges_fired} fired",
-        )
-    for result in results:
-        _check_disclosure_safety(result, agents, violate)
-
-    obs_count("hardening.aio_soak.runs")
-    obs_event(
-        "hardening.aio_soak.report",
-        clock=base_clock,
-        ok=report.ok,
-        negotiations=report.negotiations,
-        successes=report.successes,
-        hedges=report.hedges_fired,
-        violations=len(report.violations),
-    )
-    cluster.close()
-    if config.audit_log_path is not None:
-        obs_disable()  # seals the final audit epoch
-        audit_report = verify_audit_log(config.audit_log_path)
-        report.audit = audit_report.to_dict()
-        if not audit_report.ok:
-            violate("audit-chain", audit_report.summary())
-    return report
+    asyncio.run(waves())
+    return run.finish()

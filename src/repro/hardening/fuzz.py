@@ -4,9 +4,10 @@ A fixed library of malformed, oversized, mistyped, out-of-order, and
 post-terminal probes.  Each probe is delivered to a hardened service
 and must be answered with a *typed* :class:`~repro.errors.ReproError`
 (an ``error_code`` from the taxonomy) — never an unhandled exception
-and never a success.  The chaos-soak driver replays the whole corpus
-up front and folds the verdicts into its invariant report; the unit
-tests in ``tests/hardening/test_fuzz_corpus.py`` run it standalone.
+and never a success.  The chaos soak replays the whole corpus up
+front under both of its drivers and folds the verdicts into its
+invariant report; the unit tests in
+``tests/hardening/test_fuzz_corpus.py`` run it standalone.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.hardening.config import HardeningConfig
 __all__ = [
     "FuzzProbe",
     "FuzzOutcome",
+    "classify",
     "run_probe",
     "session_probes",
     "stateless_probes",
@@ -233,33 +235,41 @@ def terminal_probes(session_id: str, resource: str) -> list[FuzzProbe]:
     ]
 
 
+def classify(probe: FuzzProbe, error: Optional[Exception]) -> FuzzOutcome:
+    """Classify the response to ``probe``: ``error`` is what delivering
+    it raised, or None if the service accepted it."""
+    if error is None:
+        return FuzzOutcome(
+            probe.name, rejected=False, anomaly="probe was accepted"
+        )
+    if not isinstance(error, ReproError):
+        return FuzzOutcome(
+            probe.name, rejected=False,
+            anomaly=f"leaked {type(error).__name__}: {error}",
+        )
+    code = getattr(error, "error_code", None)
+    if code is None:
+        return FuzzOutcome(
+            probe.name, rejected=True,
+            anomaly=f"untyped {type(error).__name__}: {error}",
+        )
+    if probe.expected and code not in probe.expected:
+        return FuzzOutcome(
+            probe.name, rejected=True, code=code,
+            anomaly=(
+                f"rejected with {code.value}, expected one of "
+                f"{[c.value for c in probe.expected]}"
+            ),
+        )
+    return FuzzOutcome(probe.name, rejected=True, code=code)
+
+
 def run_probe(
     call: Callable[[str, object], object], probe: FuzzProbe
 ) -> FuzzOutcome:
     """Deliver ``probe`` through ``call`` and classify the response."""
     try:
         call(probe.operation, probe.payload)
-    except ReproError as exc:
-        code = getattr(exc, "error_code", None)
-        if code is None:
-            return FuzzOutcome(
-                probe.name, rejected=True,
-                anomaly=f"untyped {type(exc).__name__}: {exc}",
-            )
-        if probe.expected and code not in probe.expected:
-            return FuzzOutcome(
-                probe.name, rejected=True, code=code,
-                anomaly=(
-                    f"rejected with {code.value}, expected one of "
-                    f"{[c.value for c in probe.expected]}"
-                ),
-            )
-        return FuzzOutcome(probe.name, rejected=True, code=code)
     except Exception as exc:  # noqa: BLE001 - the whole point
-        return FuzzOutcome(
-            probe.name, rejected=False,
-            anomaly=f"leaked {type(exc).__name__}: {exc}",
-        )
-    return FuzzOutcome(
-        probe.name, rejected=False, anomaly="probe was accepted"
-    )
+        return classify(probe, exc)
+    return classify(probe, None)

@@ -13,7 +13,7 @@ unifies what PR 1 and PR 2 left as ad-hoc per-object counters:
   size/latency distributions.
 
 Histograms keep an exact count/sum/min/max plus a bounded sliding
-window of recent samples for percentile estimation (p50/p95) — good
+window of recent samples for percentile estimation (p50/p95/p99) — good
 enough for the simulator's scale without unbounded memory.
 """
 
@@ -33,7 +33,9 @@ __all__ = [
 
 
 def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile of a non-empty sorted-or-not list."""
+    """The ``q``-th percentile (``q`` on a 0–100 scale) of a non-empty,
+    not necessarily sorted list, interpolating linearly between the two
+    closest ranks (numpy's default ``"linear"`` method)."""
     if not values:
         raise ValueError("percentile of empty sequence")
     ordered = sorted(values)
@@ -95,7 +97,8 @@ class Gauge:
 
 
 class Histogram:
-    """Distribution summary: exact count/sum/min/max, windowed p50/p95."""
+    """Distribution summary: exact count/sum/min/max, windowed
+    p50/p95/p99."""
 
     __slots__ = ("name", "count", "total", "min", "max", "_window", "_lock")
 
@@ -132,6 +135,7 @@ class Histogram:
         if window:
             summary["p50"] = round(percentile(window, 50), 6)
             summary["p95"] = round(percentile(window, 95), 6)
+            summary["p99"] = round(percentile(window, 99), 6)
         return summary
 
 

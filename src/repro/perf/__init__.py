@@ -20,7 +20,6 @@ from repro.perf.caches import (
     caches_enabled,
     clear_all_caches,
     drop_issuer_signatures,
-    invalidate_issuer_signatures,
     lock_free_caches,
     lock_free_enabled,
     set_caches_enabled,
@@ -46,5 +45,4 @@ __all__ = [
     "DIGEST_CACHE",
     "SIGNATURE_CACHE",
     "drop_issuer_signatures",
-    "invalidate_issuer_signatures",
 ]

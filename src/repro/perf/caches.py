@@ -58,7 +58,6 @@ __all__ = [
     "DIGEST_CACHE",
     "SIGNATURE_CACHE",
     "drop_issuer_signatures",
-    "invalidate_issuer_signatures",
 ]
 
 _MISSING = object()
@@ -426,21 +425,3 @@ def drop_issuer_signatures(issuer: str) -> int:
         lambda tag: tag == issuer
         or (isinstance(tag, tuple) and len(tag) == 2 and tag[0] == issuer)
     )
-
-
-def invalidate_issuer_signatures(issuer: str) -> int:
-    """Deprecated alias — retract a :class:`repro.trust.TrustEvent`
-    through :class:`repro.trust.TrustBus` (re-exported by
-    :mod:`repro.api`) instead; for the raw whole-issuer sweep use
-    :func:`drop_issuer_signatures`."""
-    import warnings
-
-    warnings.warn(
-        "invalidate_issuer_signatures is deprecated; retract a "
-        "TrustEvent through repro.trust.TrustBus (see repro.api), or "
-        "use repro.perf.drop_issuer_signatures for a raw whole-issuer "
-        "sweep",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return drop_issuer_signatures(issuer)

@@ -14,8 +14,7 @@ config instance (matched on its exact type)::
     report = runner.run("soak", seed=7, negotiations=500)
     report = runner.run(ScenarioConfig(seed=42, rounds=24, agents=12))
 
-Calling :func:`repro.hardening.soak.run_soak` directly still works but
-emits a :class:`DeprecationWarning` pointing here.
+The soak preset runs :func:`repro.hardening.soak.chaos_soak`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import VOError
-from repro.hardening.soak import SoakConfig, _run_soak_impl
+from repro.hardening.soak import SoakConfig, chaos_soak
 from repro.scenario.engine import ScenarioConfig, run_scenario
 from repro.scenario.experiments import (
     IsolationConfig,
@@ -57,7 +56,7 @@ def _default_presets() -> tuple[WorkloadPreset, ...]:
                 "Chaos soak: thousands of negotiations under mixed "
                 "network/adversarial faults with invariant checking"
             ),
-            run=_run_soak_impl,
+            run=chaos_soak,
         ),
         WorkloadPreset(
             name="scenario",

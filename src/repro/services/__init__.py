@@ -21,67 +21,9 @@ that stack deterministically:
 - :mod:`vo_toolkit` — the Host / Initiator / Member editions, with
   quorum-based formation under partial failure.
 
-.. deprecated:: 1.1
-   Importing these classes from ``repro.services`` directly is
-   deprecated; import them from :mod:`repro.api` (the blessed public
-   surface) or from the deep canonical modules
-   (``repro.services.tn_service`` etc.).  Package-level access still
-   works but emits a :class:`DeprecationWarning`.
+Import the classes from :mod:`repro.api` (the blessed public surface)
+or from the deep canonical modules (``repro.services.tn_service``
+etc.); the package itself re-exports nothing.
 """
 
-from __future__ import annotations
-
-import warnings
-from importlib import import_module
-
-__all__ = [
-    "SimClock",
-    "LatencyModel",
-    "SimTransport",
-    "SoapEnvelope",
-    "SoapFault",
-    "TNWebService",
-    "TNClient",
-    "ResilientTransport",
-    "RetryPolicy",
-    "CircuitBreaker",
-    "CircuitBreakerPolicy",
-    "CircuitState",
-    "ResilienceStats",
-]
-
-#: Name -> canonical deep module, resolved lazily by ``__getattr__``.
-_FORWARDS = {
-    "SimClock": "repro.services.clock",
-    "LatencyModel": "repro.services.transport",
-    "SimTransport": "repro.services.transport",
-    "SoapEnvelope": "repro.services.soap",
-    "SoapFault": "repro.services.soap",
-    "TNWebService": "repro.services.tn_service",
-    "TNClient": "repro.services.tn_client",
-    "ResilientTransport": "repro.services.resilience",
-    "RetryPolicy": "repro.services.resilience",
-    "CircuitBreaker": "repro.services.resilience",
-    "CircuitBreakerPolicy": "repro.services.resilience",
-    "CircuitState": "repro.services.resilience",
-    "ResilienceStats": "repro.services.resilience",
-}
-
-
-def __getattr__(name: str):
-    module_path = _FORWARDS.get(name)
-    if module_path is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    warnings.warn(
-        f"importing {name!r} from 'repro.services' is deprecated; use "
-        f"'repro.api' or the canonical module {module_path!r}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(import_module(module_path), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__all__: list[str] = []

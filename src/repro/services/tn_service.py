@@ -53,7 +53,6 @@ Resilience (this module's additions for partial failure):
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
@@ -986,40 +985,3 @@ class TNWebService:
             ),
             "result": result,
         }
-
-    # -- deprecated aliases (pre-1.1 private operation names) ----------------------
-
-    def _start_negotiation(self, payload: dict) -> dict:
-        warnings.warn(
-            "TNWebService._start_negotiation is deprecated; use the "
-            "public start_negotiation operation",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.start_negotiation(payload)
-
-    def _policy_exchange(
-        self, session: NegotiationSession, payload: dict
-    ) -> dict:
-        warnings.warn(
-            "TNWebService._policy_exchange is deprecated; use the "
-            "public policy_exchange operation",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        merged = dict(payload)
-        merged.setdefault("negotiationId", session.session_id)
-        return self.policy_exchange(merged)
-
-    def _credential_exchange(
-        self, session: NegotiationSession, payload: dict
-    ) -> dict:
-        warnings.warn(
-            "TNWebService._credential_exchange is deprecated; use the "
-            "public credential_exchange operation",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        merged = dict(payload)
-        merged.setdefault("negotiationId", session.session_id)
-        return self.credential_exchange(merged)

@@ -31,10 +31,7 @@ threshold) and :meth:`TrustBus.retract` propagates it:
    which parties an event *touched* so a later negotiation can
    escalate against them (:meth:`TrustBus.touched`).
 
-The bus is the single blessed entry point for revocation operations;
-``RevocationRegistry.publish`` and
-``repro.perf.invalidate_issuer_signatures`` survive only as
-``DeprecationWarning`` shims over it.
+The bus is the single entry point for revocation operations.
 """
 
 from __future__ import annotations
@@ -314,8 +311,7 @@ class TrustBus:
     # -- conveniences over retract() --------------------------------------------
 
     def publish_crl(self, crl: RevocationList) -> RetractionReceipt:
-        """Install an issuer's revocation list (the blessed replacement
-        for the deprecated ``RevocationRegistry.publish``)."""
+        """Install an issuer's revocation list."""
         return self.retract(TrustEvent.crl_published(crl))
 
     def revoke(

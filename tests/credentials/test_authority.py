@@ -149,10 +149,11 @@ class TestRevocationRegistry:
         assert excinfo.value.error_code is ErrorCode.UNSIGNED_REVOCATION_LIST
         assert not bus.registry.is_revoked("CA", 5)  # nothing was installed
 
-    def test_deprecated_publish_still_installs(self, shared_keypair):
+    def test_bus_publishes_into_a_given_registry(self, shared_keypair):
         registry = RevocationRegistry()
-        with pytest.deprecated_call():
-            registry.publish(self._signed_crl(shared_keypair.private, [5]))
+        TrustBus(registry=registry).publish_crl(
+            self._signed_crl(shared_keypair.private, [5])
+        )
         assert registry.is_revoked("CA", 5)
 
     def test_unknown_issuer_has_no_list(self):

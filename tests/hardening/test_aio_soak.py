@@ -1,26 +1,35 @@
-"""The asyncio chaos soak: waves of concurrent client tasks.
+"""The chaos soak under the asyncio driver: waves of concurrent tasks.
 
 ``repro soak --asyncio`` drives the whole stack — ``AioTNClient →
 AioResilientTransport → FaultInjector → AioSimTransport →
 AioShardedTNService`` — from the event loop, with hedged starts,
-health-aware routing, Byzantine impostors, admission bursts, and
-mid-negotiation shard kills.  Same acceptance bar as the sync soak:
-zero invariant violations, deterministic per seed.
+health-aware routing, and every drill of the sync driver: the fuzz
+corpus, Byzantine impostors, admission bursts, mid-negotiation shard
+kills, and mid-negotiation retractions.  Same acceptance bar as the
+sync driver: zero invariant violations, deterministic per seed.
 """
 
 import json
 
-import pytest
+from repro.hardening.soak import SoakConfig, soak_plan
+from tests.hardening.soak_helpers import normalised_json, recorded, seeded_soak
 
-from repro.api import WorkloadRunner
 
-
-def run_aio(**kwargs):
+def run_aio(plan_filter=None, **kwargs):
     kwargs.setdefault("seed", 7)
     kwargs.setdefault("negotiations", 60)
     kwargs.setdefault("roles", 3)
-    kwargs.setdefault("asyncio_mode", True)
-    return WorkloadRunner().run("soak", **kwargs)
+    config = SoakConfig(asyncio_mode=True, **kwargs)
+    plan = soak_plan(config)
+    if plan_filter is not None:
+        plan = [step for step in plan if plan_filter(step)]
+    return seeded_soak(config, plan)
+
+
+def without_new_drills(step) -> bool:
+    """The drills the asyncio soak did not run before the drill plan
+    was shared between the drivers."""
+    return step.drill not in ("fuzz", "retract")
 
 
 class TestAioSoakAcceptance:
@@ -60,15 +69,35 @@ class TestAioSoakAcceptance:
         assert report.node_kills == 0
 
 
+class TestAioSoakParity:
+    """Without the fuzz and retraction steps, the asyncio driver
+    reproduces the recorded reports of the asyncio soak it replaced,
+    byte for byte."""
+
+    def test_sharded_kill_soak_matches_recorded_report(self):
+        report = run_aio(
+            without_new_drills, negotiations=200, roles=4,
+            cluster_shards=3, node_kill_every=40,
+        )
+        assert normalised_json(report) == recorded("aio-cluster-200")
+
+    def test_single_service_soak_matches_recorded_report(self):
+        report = run_aio(without_new_drills, negotiations=40)
+        assert normalised_json(report) == recorded("aio-single-40")
+
+
 class TestAioSoakDeterminism:
     def test_same_seed_same_report(self):
-        # Single-service scope, same as the sync determinism test: the
-        # process-global requestId counter means cluster-mode routing
-        # (and hence the storm's shape) differs between two runs in
-        # one process even with the same seed.
         first = run_aio(seed=11)
         second = run_aio(seed=11)
         assert first.to_dict() == second.to_dict()
+
+    def test_same_seed_byte_identical_with_every_drill(self):
+        kwargs = dict(
+            seed=9, negotiations=80, cluster_shards=3, node_kill_every=20,
+            retract_every=15, byzantine_every=17,
+        )
+        assert run_aio(**kwargs).to_json() == run_aio(**kwargs).to_json()
 
     def test_different_seed_different_storm(self):
         base = run_aio(seed=3)
@@ -91,6 +120,18 @@ class TestAioSoakReport:
         assert cluster["shardReadmissions"] == report.shard_readmissions
         assert cluster["healthProbes"] == report.health_probes
 
-    def test_retraction_drills_are_sync_only(self):
-        with pytest.raises(ValueError, match="retract_every"):
-            run_aio(retract_every=10)
+    def test_every_drill_runs_under_asyncio(self):
+        """The fuzz corpus and mid-flight retractions run on the
+        concurrent stack too, with zero violations."""
+        report = run_aio(
+            negotiations=200, roles=4, cluster_shards=3,
+            node_kill_every=40, retract_every=25,
+        )
+        assert report.ok, report.to_json()
+        assert report.violations == []
+        decoded = json.loads(report.to_json())
+        assert decoded["fuzzProbes"] > 0
+        assert decoded["fuzzFailures"] == []
+        assert decoded["trust"]["retractionDrills"] > 0
+        assert decoded["trust"]["staleCompletions"] == 0
+        assert decoded["cluster"]["nodeKills"] > 0

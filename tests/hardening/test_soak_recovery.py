@@ -4,8 +4,9 @@ log, plus the negative tamper-detection check on the produced log."""
 
 import json
 
-from repro.hardening.soak import SoakConfig, run_soak
+from repro.hardening.soak import SoakConfig
 from repro.obs.audit import verify_audit_log
+from tests.hardening.soak_helpers import normalised_json, recorded, seeded_soak
 
 
 class TestKillRestartSoakAcceptance:
@@ -18,7 +19,7 @@ class TestKillRestartSoakAcceptance:
         wal_dir = tmp_path / "wal"
         wal_dir.mkdir()
         audit_log = tmp_path / "audit.jsonl"
-        report = run_soak(SoakConfig(
+        report = seeded_soak(SoakConfig(
             seed=7,
             negotiations=500,
             cluster_shards=3,
@@ -36,6 +37,8 @@ class TestKillRestartSoakAcceptance:
         assert report.torn_records_discarded > 0
         assert report.wal_records > 0
         assert report.summary().startswith("PASS")
+        # Sync parity with the recorded report of the replaced soak.
+        assert normalised_json(report) == recorded("sync-cluster-500")
 
         # The canonical record verifies end to end.
         assert report.audit is not None
@@ -58,7 +61,7 @@ class TestKillRestartSoakAcceptance:
         assert broken.error_line is not None
 
     def test_cluster_soak_report_round_trips(self, tmp_path):
-        report = run_soak(SoakConfig(
+        report = seeded_soak(SoakConfig(
             seed=11, negotiations=120, roles=3,
             cluster_shards=2, node_kill_every=40,
             wal_dir=str(tmp_path),

@@ -14,6 +14,11 @@ class TestPercentile:
         values = [0.0, 10.0]
         assert percentile(values, 50) == 5.0
 
+    def test_interpolates_between_ranks_not_nearest_rank(self):
+        values = [float(v) for v in range(1, 11)]  # 1..10, unsorted below
+        assert percentile(list(reversed(values)), 95) == pytest.approx(9.55)
+        assert percentile(values, 99) == pytest.approx(9.91)
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             percentile([], 50)
@@ -43,6 +48,15 @@ class TestInstruments:
         assert summary["min"] == 1.0
         assert summary["max"] == 4.0
         assert summary["p50"] == 2.5
+
+    def test_histogram_summary_reports_p99(self):
+        histogram = Histogram("h")
+        for value in range(1, 101):
+            histogram.observe(value)
+        summary = histogram.to_dict()
+        assert summary["p95"] == pytest.approx(95.05)
+        assert summary["p99"] == pytest.approx(99.01)
+        assert summary["p95"] < summary["p99"] < summary["max"]
 
     def test_histogram_window_bounds_percentiles_not_totals(self):
         histogram = Histogram("h", window=2)

@@ -14,7 +14,6 @@ from repro.perf import (
     caches_enabled,
     clear_all_caches,
     drop_issuer_signatures,
-    invalidate_issuer_signatures,
     set_caches_enabled,
 )
 
@@ -197,8 +196,3 @@ class TestSignatureCacheInvalidation:
         )
         assert evicted == 1
         assert SIGNATURE_CACHE.get(("fp1", b"d1", "sig1")) is True
-
-    def test_deprecated_alias_warns_and_sweeps(self):
-        SIGNATURE_CACHE.put(("fp1", b"d1", "sig1"), True, tag=("INFN", 1))
-        with pytest.deprecated_call():
-            assert invalidate_issuer_signatures("INFN") == 1

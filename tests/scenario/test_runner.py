@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import VOError
-from repro.hardening.soak import SoakConfig, run_soak
+from repro.hardening.soak import SoakConfig, chaos_soak
 from repro.scenario.experiments import MatrixConfig
 from repro.scenario.runner import WorkloadPreset, WorkloadRunner
 
@@ -78,14 +78,13 @@ class TestSoakPreset:
         )
         assert report.ok, [v.to_dict() for v in report.violations]
 
-    def test_deprecated_run_soak_warns_and_matches(self):
-        """The old direct call warns but produces the identical
-        report."""
+    def test_entry_function_matches_runner(self):
+        """The soak's entry function, called directly, produces the
+        report the runner preset does."""
         config = SoakConfig(seed=7, negotiations=10, roles=2)
-        with pytest.warns(DeprecationWarning, match="WorkloadRunner"):
-            legacy = run_soak(config)
+        direct = chaos_soak(config)
         modern = WorkloadRunner().run(config)
-        assert legacy.to_json() == modern.to_json()
+        assert direct.to_json() == modern.to_json()
 
     def test_runner_path_does_not_warn(self):
         import warnings

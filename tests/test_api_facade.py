@@ -172,23 +172,9 @@ class TestNegotiator:
 
 
 class TestDeprecationShims:
-    def test_services_package_import_warns_but_works(self):
-        import repro.services as services
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            cls = services.TNWebService
-        from repro.services.tn_service import TNWebService
-
-        assert cls is TNWebService
-
-    def test_faults_package_import_warns_but_works(self):
-        import repro.faults as faults
-
-        with pytest.warns(DeprecationWarning):
-            cls = faults.FaultInjector
-        from repro.faults.injector import FaultInjector
-
-        assert cls is FaultInjector
+    """The ``repro.services`` / ``repro.faults`` package shortcuts are
+    gone: the deep canonical paths import warning-free and the packages
+    themselves export nothing."""
 
     def test_canonical_paths_do_not_warn(self):
         with warnings.catch_warnings():
@@ -202,19 +188,3 @@ class TestDeprecationShims:
 
         with pytest.raises(AttributeError):
             services.NoSuchThing
-
-    def test_tn_service_operation_aliases_warn(self):
-        from repro.scenario.workloads import formation_workload
-
-        fixture = formation_workload(1)
-        edition = fixture.initiator_edition
-        edition.create_vo(fixture.contract)
-        service = edition.enable_trust_negotiation()
-        member = fixture.member_apps["Role-00"].member
-        with pytest.warns(DeprecationWarning, match="start_negotiation"):
-            response = service._start_negotiation({
-                "requester": member.agent,
-                "resource": "Role-00",
-                "requestId": "req-legacy-1",
-            })
-        assert response["negotiationId"]

@@ -35,10 +35,6 @@ class TestTopLevelApi:
             "repro.api",
         ],
     )
-    # repro.services / repro.faults resolve __all__ through deprecation
-    # shims; this test deliberately exercises them, so relax the
-    # error-on-shim-warning filter from pyproject for this test only.
-    @pytest.mark.filterwarnings("default::DeprecationWarning")
     def test_subpackage_alls_resolve(self, module):
         mod = importlib.import_module(module)
         for name in getattr(mod, "__all__", []):

@@ -9,7 +9,7 @@ only the artifacts the event contradicts are dropped.
 import pytest
 
 from repro.credentials.authority import CredentialAuthority
-from repro.credentials.revocation import RevocationList, RevocationRegistry
+from repro.credentials.revocation import RevocationList
 from repro.errors import ErrorCode, SignatureError
 from repro.negotiation.cache import SequenceCache
 from repro.negotiation.engine import NegotiationEngine
@@ -17,7 +17,6 @@ from repro.perf import (
     SIGNATURE_CACHE,
     clear_all_caches,
     drop_issuer_signatures,
-    invalidate_issuer_signatures,
 )
 from repro.scenario.workloads import chain_workload
 from repro.trust import (
@@ -193,18 +192,8 @@ class TestPublicationGuards:
 
 
 class TestDeprecatedShims:
-    def test_registry_publish_warns_and_delegates(self, authority):
-        registry = RevocationRegistry()
-        authority.revoke(_issue(authority))
-        with pytest.deprecated_call():
-            registry.publish(authority.crl)
-        assert registry.list_for(authority.name) is not None
-
-    def test_issuer_flush_alias_warns(self):
-        clear_all_caches()
-        SIGNATURE_CACHE.put(("fp", b"d", "s"), True, tag=("OldCA", 3))
-        with pytest.deprecated_call():
-            assert invalidate_issuer_signatures("OldCA") == 1
+    """The legacy revocation shims are gone; the blessed whole-issuer
+    sweep stays and is warning-free."""
 
     def test_blessed_sweep_does_not_warn(self):
         clear_all_caches()
