@@ -27,7 +27,6 @@ is the implementation.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Any, Optional
 
 from repro.obs.audit import AuditLogSink
@@ -59,7 +58,7 @@ __all__ = [
     # runtime control
     "enable", "disable", "enabled", "config",
     # instrumentation entry points
-    "span", "attach", "current", "event", "count", "gauge", "observe",
+    "span", "current", "event", "count", "gauge", "observe",
     # introspection / export
     "spans", "events", "metrics", "snapshot", "chrome_trace",
     "render_timeline", "validate_trace", "critical_path_ms", "reset",
@@ -109,7 +108,6 @@ def _collect_perf_caches() -> dict:
 
 _enabled = False
 _runtime: Optional[_Runtime] = None
-_NULL_CONTEXT = nullcontext()
 
 
 def enable(config: Optional[ObsConfig] = None) -> None:
@@ -150,14 +148,6 @@ def span(
     if not _enabled:
         return NULL_SPAN
     return _runtime.tracer.span(name, clock=clock, parent=parent, attrs=attrs)
-
-
-def attach(parent: Optional[Span]):
-    """Adopt ``parent`` as this thread's current span (cross-thread
-    parent hand-off for parallel workers); a no-op when disabled."""
-    if not _enabled or parent is None:
-        return _NULL_CONTEXT
-    return _runtime.tracer.attach(parent)
 
 
 def current() -> Optional[Span]:

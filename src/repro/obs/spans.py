@@ -8,11 +8,9 @@ tracked per :mod:`contextvars` context, which gives both isolation and
 inheritance for free: threads each see their own (initially empty)
 stack, while an asyncio task snapshots its creator's context at
 creation — so tasks spawned inside a span automatically nest under it,
-with no explicit hand-off.  :meth:`Tracer.attach` remains the explicit
-escape hatch for handing a parent span across a *thread* boundary
-(threads, unlike tasks, start with an empty context), exactly what
-``execute_formation(parallel=True)`` needs so per-role joins nest under
-the formation span instead of starting orphan traces.
+with no explicit hand-off.  Spans are pushed and popped in balanced
+pairs, so the per-role joins of ``execute_formation(parallel=True)``
+nest under the formation span like any other child.
 
 Dual timestamps:
 
@@ -22,7 +20,7 @@ Dual timestamps:
   inherited from the parent span), so a trace lines up with the
   latency-modelled timeline of Fig. 9.  Inside a
   ``SimTransport.clock_branch()`` block the supplied clock *is* the
-  branch, so worker spans carry branch-local virtual time.
+  branch, so spans opened there carry branch-local virtual time.
 
 Identifiers are deterministic counters (``trace-N`` / ``N``): the
 simulation is reproducible and its traces should be too.
@@ -34,9 +32,8 @@ import itertools
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 __all__ = ["Span", "NullSpan", "NULL_SPAN", "Tracer"]
 
@@ -202,26 +199,6 @@ class Tracer:
             self._set_stack(stack[:index] + stack[index + 1:])
         with self._lock:
             self._finished.append(span)
-
-    @contextmanager
-    def attach(self, span: Optional[Span]) -> Iterator[None]:
-        """Adopt ``span`` as this context's current parent.
-
-        Used to hand a parent span across a *thread* boundary (parallel
-        formation workers) — asyncio tasks inherit the stack through
-        their context automatically and don't need this.  The span is
-        *not* re-finished on exit — ownership stays with the opener.
-        """
-        if span is None or isinstance(span, NullSpan):
-            yield
-            return
-        self._push(span)
-        try:
-            yield
-        finally:
-            stack = self._stack()
-            if stack and stack[-1] is span:
-                self._set_stack(stack[:-1])
 
     # -- span creation ---------------------------------------------------------------
 

@@ -10,17 +10,20 @@ near the paper's ≈3 s (see ``benchmarks/test_bench_fig9_join.py`` and
 EXPERIMENTS.md); all comparisons are about the *shape* of the result,
 not absolute numbers.
 
-Concurrent execution (``execute_formation(parallel=True)`` worker
-threads, or asyncio tasks under :mod:`repro.services.aio`) runs
-independent flows that must each charge latency to their *own*
-timeline: two concurrent joins each take ~3 simulated seconds, not 6.
-:meth:`SimTransport.clock_branch` installs a **context-local** clock
-override via :mod:`contextvars` — every charge made inside the block
-lands on the branch clock.  New threads and newly-created asyncio
-tasks each get their own context (a task snapshots its creator's
-context at creation), so branches entered inside a worker thread or a
-task never leak into siblings.  The branches are then merged by the
-scheduler as a critical path (``max`` of the branch durations).
+Concurrent execution — the simulated-time batch of
+``execute_formation(parallel=True)``, asyncio tasks under
+:mod:`repro.services.aio`, or the worker threads of ``repro aio``'s
+thread-pool baseline — runs independent flows that must each charge
+latency to their *own* timeline: two concurrent joins each take ~3
+simulated seconds, not 6.  :meth:`SimTransport.clock_branch` installs
+a **context-local** clock override via :mod:`contextvars` — every
+charge made inside the block lands on the branch clock, and leaving
+the block restores the previous clock.  New threads and newly-created
+asyncio tasks each get their own context (a task snapshots its
+creator's context at creation), so branches entered inside a worker
+thread or a task never leak into siblings.  The branches are then
+merged by the caller as a critical path (``max`` of the branch
+durations).
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ class LatencyModel:
 class ChargeStats:
     """Accumulated counts of every charged cost unit.
 
-    Workers in ``execute_formation(parallel=True)`` charge costs from
+    Thread-pool callers (``repro aio``'s thread baseline, the thread
+    baseline of ``benchmarks/test_bench_async.py``) charge costs from
     several threads at once, so the transport accumulates these under
     its lock and hands out snapshot copies — callers never see a
     half-updated record.

@@ -15,11 +15,10 @@ timed exactly as the paper's experiment does (Section 6.3.1, Fig. 9).
 
 from __future__ import annotations
 
-import asyncio
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import partial
 from typing import Optional
 
 from repro.errors import (
@@ -36,11 +35,8 @@ from repro.hardening.config import HardeningConfig
 from repro.negotiation.cache import SequenceCache
 from repro.negotiation.outcomes import FailureReason, NegotiationResult
 from repro.negotiation.strategies import Strategy
-from repro.perf.caches import NULL_LOCK
 from repro.obs import (
-    attach as obs_attach,
     count as obs_count,
-    current as obs_current,
     enabled as obs_enabled,
     event as obs_event,
     observe as obs_observe,
@@ -233,7 +229,9 @@ class FormationOutcome:
     #: of the join durations in serial mode, the batch critical path in
     #: parallel mode.
     elapsed_ms: float = 0.0
-    #: Longest single join chain (== elapsed_ms of the schedule run).
+    #: The schedule's critical path: the longest single join (its
+    #: plan's retries included) in parallel mode, the whole run in
+    #: serial mode — always equal to ``elapsed_ms``.
     critical_path_ms: float = 0.0
     #: What the same joins cost end to end — the serial-equivalent sum
     #: of per-join durations; in parallel mode the Fig. 9 baseline the
@@ -269,9 +267,6 @@ class InitiatorEdition:
         self._tn_service: Optional[TNWebService] = None
         self._tn_store: Optional[XMLDocumentStore] = None
         self._tn_cache: Optional[SequenceCache] = None
-        # Serializes VO mutations (admission, reputation) when joins
-        # run on parallel formation workers.
-        self._vo_lock = threading.Lock()
 
     # -- VO creation --------------------------------------------------------------
 
@@ -468,8 +463,7 @@ class InitiatorEdition:
                     if negotiation.success
                     else ReputationEvent.FAILED_NEGOTIATION
                 )
-                with self._vo_lock:
-                    vo.reputation.record(member.name, event, at=at)
+                vo.reputation.record(member.name, event, at=at)
                 if not negotiation.success:
                     return JoinOutcome(
                         member=member.name,
@@ -482,8 +476,7 @@ class InitiatorEdition:
             # 5. Role assignment ("Assign Member" screen) and the
             #    runtime creation of the X.509 membership credential.
             self.transport.charge_ui()
-            with self._vo_lock:
-                vo.admit_member(role_name, member, at)
+            vo.admit_member(role_name, member, at)
             self.transport.charge_crypto(signs=1)
             self.transport.charge_db(writes=2)
             # 6. The certificate reaches the member by mail.
@@ -506,8 +499,7 @@ class InitiatorEdition:
         max_attempts: int = 2,
         at: Optional[datetime] = None,
         strategy: Strategy = Strategy.STANDARD,
-        parallel: "bool | str" = False,
-        max_workers: Optional[int] = None,
+        parallel: bool = False,
     ) -> FormationOutcome:
         """Drive all joins, retrying unreachable invitees.
 
@@ -520,31 +512,23 @@ class InitiatorEdition:
 
         With ``parallel=True`` the per-role joins — which are mutually
         independent: distinct members, distinct roles, each negotiating
-        only against the Initiator — are dispatched to a thread pool.
-        Every worker charges simulated latency to its own clock branch
-        (see :meth:`SimTransport.clock_branch`); the main timeline then
-        advances by the *critical path* (the longest branch), while the
-        serial-equivalent sum is reported as
-        :attr:`FormationOutcome.serial_ms` — Fig. 9 semantics are
-        preserved, only the schedule changes.  Outcome bookkeeping is
-        applied in plan order on the calling thread, so the resulting
-        :class:`FormationOutcome` is identical to serial mode's.  When
-        the transport stack has no branchable base clock the call falls
-        back to serial execution.
-
-        With ``parallel="asyncio"`` the joins run as asyncio tasks on a
-        private event loop instead of pool threads: clock branches are
-        task-local through :mod:`contextvars`, the per-join VO
-        bookkeeping lock is elided (the loop serializes it), and the
-        same lane merge produces the same simulated timings — see
-        :meth:`execute_formation_async` for the awaitable form.
+        only against the Initiator — are scheduled in simulated time as
+        one concurrent batch.  The same plan-order loop runs each join
+        inside its own clock branch (see
+        :meth:`SimTransport.clock_branch`), with ``at`` frozen at
+        dispatch; the main timeline then advances by the *critical
+        path* (the longest branch), while the serial-equivalent sum is
+        reported as :attr:`FormationOutcome.serial_ms` — Fig. 9
+        semantics are preserved, only the schedule changes.  When the
+        transport stack has no branchable base clock, or there is only
+        one plan, the loop runs on the main clock as in serial mode.
         """
         if self.vo is None:
             raise MembershipError("create_vo must run before formation")
         if not obs_enabled():
             return self._execute_formation_body(
                 plans, with_negotiation, quorum, max_attempts,
-                at, strategy, parallel, max_workers,
+                at, strategy, parallel,
             )
         with obs_span(
             "vo.formation",
@@ -554,7 +538,7 @@ class InitiatorEdition:
         ) as formation_span:
             outcome = self._execute_formation_body(
                 plans, with_negotiation, quorum, max_attempts,
-                at, strategy, parallel, max_workers,
+                at, strategy, parallel,
             )
             formation_span.set(
                 mode=outcome.mode,
@@ -574,36 +558,45 @@ class InitiatorEdition:
         max_attempts: int,
         at: Optional[datetime],
         strategy: Strategy,
-        parallel: "bool | str",
-        max_workers: Optional[int],
+        parallel: bool,
     ) -> FormationOutcome:
         outcome = FormationOutcome(
             quorum=len(plans) if quorum is None else quorum
         )
-        if parallel and len(plans) > 1:
-            base = self._branchable_transport()
-            if base is not None:
-                if parallel == "asyncio":
-                    return asyncio.run(self._formation_asyncio(
-                        plans, outcome, with_negotiation, max_attempts,
-                        at, strategy, max_workers, base,
-                    ))
-                return self._formation_parallel(
-                    plans, outcome, with_negotiation, max_attempts,
-                    at, strategy, max_workers, base,
-                )
-        clock = self.transport.clock
+        base = (
+            self._branchable_transport()
+            if parallel and len(plans) > 1 else None
+        )
+        if base is None:
+            clock = self.transport.clock
+            lane = partial(nullcontext, clock)
+        else:
+            clock, lane = base.base_clock, base.clock_branch
+            # Freeze `at` at dispatch: every invitee negotiates against
+            # the same instant, as concurrency implies (and as the
+            # serial default only approximates).
+            at = at or clock.now()
         started_ms = clock.elapsed_ms
+        deltas: list[float] = []
         for member_app, role_name in plans:
-            attempts, last = self._attempt_plan(
-                member_app, role_name, with_negotiation,
-                max_attempts, at, strategy,
-            )
+            with lane() as lane_clock:
+                begin_ms = lane_clock.elapsed_ms
+                attempts, last = self._attempt_plan(
+                    member_app, role_name, with_negotiation,
+                    max_attempts, at, strategy,
+                )
+                deltas.append(lane_clock.elapsed_ms - begin_ms)
             self._record_plan(outcome, member_app, role_name, attempts, last)
-        outcome.mode = "serial"
+        if base is not None:
+            # Branches all fork from the same base instant: the main
+            # timeline advances by the critical path, the longest join.
+            clock.advance(max(deltas))
+            outcome.mode = "parallel"
         outcome.elapsed_ms = clock.elapsed_ms - started_ms
         outcome.critical_path_ms = outcome.elapsed_ms
-        outcome.serial_ms = outcome.elapsed_ms
+        outcome.serial_ms = (
+            sum(deltas) if base is not None else outcome.elapsed_ms
+        )
         return outcome
 
     def _attempt_plan(
@@ -662,181 +655,6 @@ class InitiatorEdition:
             seen.add(id(transport))
             transport = getattr(transport, "inner", None)
         return None
-
-    def _formation_parallel(
-        self,
-        plans: list[tuple[MemberEdition, str]],
-        outcome: FormationOutcome,
-        with_negotiation: bool,
-        max_attempts: int,
-        at: Optional[datetime],
-        strategy: Strategy,
-        max_workers: Optional[int],
-        base: SimTransport,
-    ) -> FormationOutcome:
-        clock = base.base_clock
-        batch_start_ms = clock.elapsed_ms
-        # Freeze `at` at batch dispatch: every invitee negotiates
-        # against the same instant, as concurrency implies (and as the
-        # serial default only approximates).
-        at = at or clock.now()
-        # Hand the open formation span to the workers so their join
-        # spans nest under it instead of rooting orphan traces.
-        formation_span = obs_current()
-
-        def run_plan(
-            plan: tuple[MemberEdition, str]
-        ) -> tuple[int, Optional[JoinOutcome], float]:
-            member_app, role_name = plan
-            with base.clock_branch() as branch, obs_attach(formation_span):
-                begin_ms = branch.elapsed_ms
-                attempts, last = self._attempt_plan(
-                    member_app, role_name, with_negotiation,
-                    max_attempts, at, strategy,
-                )
-                return attempts, last, branch.elapsed_ms - begin_ms
-
-        workers = max_workers if max_workers else len(plans)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_plan, plans))
-
-        return self._merge_branch_results(
-            outcome, plans, results, workers, clock, batch_start_ms,
-            mode="parallel",
-        )
-
-    def _merge_branch_results(
-        self,
-        outcome: FormationOutcome,
-        plans: list[tuple[MemberEdition, str]],
-        results: list[tuple[int, Optional[JoinOutcome], float]],
-        workers: int,
-        clock,
-        batch_start_ms: float,
-        mode: str,
-    ) -> FormationOutcome:
-        """Merge branch results onto the main timeline, in plan order,
-        so bookkeeping is deterministic and byte-identical to serial
-        mode.  Shared by the thread-pool and asyncio schedulers."""
-        for (member_app, role_name), (attempts, last, _) in zip(plans, results):
-            self._record_plan(outcome, member_app, role_name, attempts, last)
-        deltas = [delta for _, _, delta in results]
-        # Deterministic makespan for a pool of `workers` lanes: assign
-        # each join, in plan order, to the earliest-available lane.
-        # With workers >= len(plans) this is simply max(deltas).
-        lanes = [0.0] * min(workers, len(deltas))
-        for delta in deltas:
-            lanes[lanes.index(min(lanes))] += delta
-        clock.advance(max(lanes, default=0.0))
-        outcome.mode = mode
-        outcome.elapsed_ms = clock.elapsed_ms - batch_start_ms
-        outcome.critical_path_ms = outcome.elapsed_ms
-        outcome.serial_ms = sum(deltas)
-        return outcome
-
-    async def _formation_asyncio(
-        self,
-        plans: list[tuple[MemberEdition, str]],
-        outcome: FormationOutcome,
-        with_negotiation: bool,
-        max_attempts: int,
-        at: Optional[datetime],
-        strategy: Strategy,
-        max_workers: Optional[int],
-        base: SimTransport,
-    ) -> FormationOutcome:
-        clock = base.base_clock
-        batch_start_ms = clock.elapsed_ms
-        # Freeze `at` at batch dispatch, exactly like the thread pool.
-        at = at or clock.now()
-        # Tasks snapshot this coroutine's context at creation, so the
-        # open formation span and the clock branch entered inside each
-        # task are inherited/isolated automatically — no obs_attach,
-        # and no thread-local juggling.  The event loop serializes all
-        # bookkeeping, so the per-join VO lock is elided for the batch.
-        previous_lock = self._vo_lock
-        self._vo_lock = NULL_LOCK
-
-        async def run_plan(
-            plan: tuple[MemberEdition, str]
-        ) -> tuple[int, Optional[JoinOutcome], float]:
-            member_app, role_name = plan
-            await asyncio.sleep(0)  # let the whole batch get airborne
-            with base.clock_branch() as branch:
-                begin_ms = branch.elapsed_ms
-                attempts, last = self._attempt_plan(
-                    member_app, role_name, with_negotiation,
-                    max_attempts, at, strategy,
-                )
-                return attempts, last, branch.elapsed_ms - begin_ms
-
-        try:
-            results = list(await asyncio.gather(
-                *(run_plan(plan) for plan in plans)
-            ))
-        finally:
-            self._vo_lock = previous_lock
-
-        workers = max_workers if max_workers else len(plans)
-        return self._merge_branch_results(
-            outcome, plans, results, workers, clock, batch_start_ms,
-            mode="asyncio",
-        )
-
-    async def execute_formation_async(
-        self,
-        plans: list[tuple[MemberEdition, str]],
-        with_negotiation: bool = True,
-        quorum: Optional[int] = None,
-        max_attempts: int = 2,
-        at: Optional[datetime] = None,
-        strategy: Strategy = Strategy.STANDARD,
-        max_workers: Optional[int] = None,
-    ) -> FormationOutcome:
-        """Awaitable formation for callers already on an event loop.
-
-        Identical semantics and bookkeeping to
-        ``execute_formation(parallel="asyncio")`` — which is the
-        entry point to use from synchronous code (it spins up a private
-        loop).  Falls back to the serial path when the transport stack
-        has no branchable clock or there is nothing to parallelize.
-        """
-        if self.vo is None:
-            raise MembershipError("create_vo must run before formation")
-
-        async def body() -> FormationOutcome:
-            outcome = FormationOutcome(
-                quorum=len(plans) if quorum is None else quorum
-            )
-            base = self._branchable_transport()
-            if base is None or len(plans) <= 1:
-                return self._execute_formation_body(
-                    plans, with_negotiation, quorum, max_attempts,
-                    at, strategy, False, max_workers,
-                )
-            return await self._formation_asyncio(
-                plans, outcome, with_negotiation, max_attempts,
-                at, strategy, max_workers, base,
-            )
-
-        if not obs_enabled():
-            return await body()
-        with obs_span(
-            "vo.formation",
-            clock=self.transport.clock,
-            plans=len(plans),
-            parallel="asyncio",
-        ) as formation_span:
-            outcome = await body()
-            formation_span.set(
-                mode=outcome.mode,
-                joined=len(outcome.joined),
-                degraded=len(outcome.degraded),
-                critical_path_ms=outcome.critical_path_ms,
-                serial_ms=outcome.serial_ms,
-            )
-            obs_count("vo.formations")
-            return outcome
 
     def retry_degraded(
         self,

@@ -1,10 +1,10 @@
 """One coherent trace out of a parallel formation (satellite d).
 
-``execute_formation(parallel=True)`` runs every join on a worker thread
-with its own branch clock; the workers adopt the ``vo.formation`` span
-via ``obs.attach``, so the merged trace must have exactly one root, no
-orphans, branch-clock virtual timestamps on the per-role joins, and a
-critical path that matches ``FormationOutcome.critical_path_ms``.
+``execute_formation(parallel=True)`` runs every join inside the open
+``vo.formation`` span, each on its own branch clock, so the trace must
+have exactly one root, no orphans, branch-clock virtual timestamps on
+the per-role joins, and a critical path that matches
+``FormationOutcome.critical_path_ms``.
 """
 
 import pytest

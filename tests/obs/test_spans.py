@@ -55,24 +55,6 @@ class TestTracer:
         assert span.status == "error"
         assert "ValueError" in span.attrs["error"]
 
-    def test_attach_adopts_parent_across_threads(self):
-        tracer = Tracer()
-        seen = {}
-
-        def worker(parent):
-            with tracer.attach(parent):
-                with tracer.span("worker") as span:
-                    seen["span"] = span
-
-        with tracer.span("root") as root:
-            thread = threading.Thread(target=worker, args=(root,))
-            thread.start()
-            thread.join()
-        assert seen["span"].parent_id == root.span_id
-        assert seen["span"].trace_id == root.trace_id
-        # attach() must not re-finish the parent.
-        assert sum(1 for s in tracer.spans() if s is root) == 1
-
     def test_threads_have_independent_stacks(self):
         tracer = Tracer()
         spans = {}
@@ -85,7 +67,7 @@ class TestTracer:
             thread = threading.Thread(target=worker)
             thread.start()
             thread.join()
-        # Without attach() the worker roots its own trace.
+        # A new thread starts with an empty stack: it roots its own trace.
         assert spans["worker"].parent_id is None
         assert spans["worker"].trace_id != main_span.trace_id
 

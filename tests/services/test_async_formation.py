@@ -1,10 +1,12 @@
-"""Three-way driver parity: serial, thread-pool, and asyncio.
+"""Driver parity: scheduling is the ONLY thing a driver chooses.
 
-The sans-IO refactor's core promise is that scheduling is the ONLY
-thing a driver chooses: the serial loop, the thread pool, and the
-asyncio event loop must produce identical negotiation outcomes,
-identical disclosure sets, and identical simulated-time accounting on
-the same seeded workload.
+Formation has two schedules — the serial loop and the simulated-time
+parallel batch (``parallel=True``; any truthy knob, ``"asyncio"``
+included, selects it) — which must produce identical negotiation
+outcomes, identical disclosure sets, and the same serial-equivalent
+simulated time.  A single negotiation has three drivers — the sync
+engine, the sync engine on a worker thread, and the asyncio event loop
+— which must agree on the same seeded workload.
 """
 
 from __future__ import annotations
@@ -70,42 +72,50 @@ def _snapshot(outcome) -> dict:
     }
 
 
+def _timings(outcome) -> tuple[float, float, float]:
+    return (
+        outcome.elapsed_ms, outcome.critical_path_ms, outcome.serial_ms
+    )
+
+
 class TestThreeWayFormationParity:
+    """Serial vs parallel, plus the ``"asyncio"`` knob value, which is
+    just another truthy ``parallel`` and must equal ``True``."""
+
     def test_outcomes_and_disclosures_identical(self):
         serial = _formation(parallel=False)
-        threads = _formation(parallel=True)
+        parallel = _formation(parallel=True)
         aio = _formation(parallel="asyncio")
         assert serial.mode == "serial"
-        assert threads.mode == "parallel"
-        assert aio.mode == "asyncio"
-        assert _snapshot(serial) == _snapshot(threads) == _snapshot(aio)
+        assert parallel.mode == "parallel"
+        assert aio.mode == "parallel"
+        assert _snapshot(serial) == _snapshot(parallel) == _snapshot(aio)
         assert len(serial.joined) == ROLES
 
     def test_time_accounting_identical_across_concurrent_drivers(self):
         serial = _formation(parallel=False)
-        threads = _formation(parallel=True)
+        parallel = _formation(parallel=True)
         aio = _formation(parallel="asyncio")
-        # Same joins, same lane merge: the asyncio schedule must cost
-        # exactly what the thread pool costs, and both must report the
-        # serial run as their serial-equivalent baseline.
-        assert aio.elapsed_ms == pytest.approx(threads.elapsed_ms)
-        assert aio.critical_path_ms == pytest.approx(
-            threads.critical_path_ms
-        )
+        # One schedule: the "asyncio" knob costs exactly what True
+        # costs, and both report the serial run as their
+        # serial-equivalent baseline.
+        assert _timings(aio) == _timings(parallel)
         assert aio.serial_ms == pytest.approx(serial.elapsed_ms)
-        assert threads.serial_ms == pytest.approx(serial.elapsed_ms)
-        assert aio.elapsed_ms < serial.elapsed_ms
+        assert parallel.serial_ms == pytest.approx(serial.elapsed_ms)
+        assert parallel.elapsed_ms < serial.elapsed_ms
 
-    def test_awaitable_entry_point_matches_sync_wrapper(self):
-        fixture = formation_workload(ROLES)
-        edition = fixture.initiator_edition
-        edition.create_vo(fixture.contract)
-        edition.enable_trust_negotiation()
-        outcome = asyncio.run(edition.execute_formation_async(
-            fixture.plans(), at=fixture.contract.created_at,
-        ))
-        assert outcome.mode == "asyncio"
-        assert _snapshot(outcome) == _snapshot(_formation("asyncio"))
+    def test_formation_inside_a_running_event_loop(self):
+        """A coroutine may call the sync entry point directly: the
+        formation loop starts no event loop of its own."""
+
+        async def inside_loop():
+            return _formation(parallel=True)
+
+        nested = asyncio.run(inside_loop())
+        top_level = _formation(parallel=True)
+        assert nested.mode == "parallel"
+        assert _snapshot(nested) == _snapshot(top_level)
+        assert _timings(nested) == _timings(top_level)
 
 
 class TestEngineDriverParity:

@@ -1,6 +1,7 @@
 """Thread-safety of the transport's charge counters.
 
-``execute_formation(parallel=True)`` charges costs from several worker
+``repro aio``'s thread-pool baseline and the thread baseline of
+``benchmarks/test_bench_async.py`` charge costs from several worker
 threads at once; the counters must come out exact, and ``charges``
 must hand back an immutable snapshot rather than the live record.
 """

@@ -1,10 +1,14 @@
 """Batched parallel formation must be an observational no-op.
 
 ``execute_formation(parallel=True)`` changes only the *schedule*: the
-joins run on worker threads, each charging a private clock branch, and
-the main timeline advances by the batch critical path instead of the
+joins run in plan order, each charging a private clock branch, and the
+main timeline advances by the batch critical path instead of the
 serial sum.  Member outcomes, disclosures, and message counts must be
-identical to serial mode — with and without injected faults."""
+identical to serial mode — with and without injected faults — and to
+the outcomes and timings recorded in ``formation_reports/``."""
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +18,14 @@ from repro.scenario import build_aircraft_scenario
 from repro.scenario.workloads import formation_workload
 from repro.services.resilience import ResilientTransport, RetryPolicy
 from repro.services.vo_toolkit import InitiatorEdition
+from tests.services.test_async_formation import _snapshot
 from tests.services.test_formation_quorum import ALL_ROLES, full_plans
 
 RETRY = RetryPolicy(max_attempts=2, base_backoff_ms=10, jitter_ms=0)
+
+#: ``parallel=True`` formations recorded from the thread-pool
+#: scheduler this loop replaced: ``_snapshot`` plus the three timings.
+RECORDED = Path(__file__).resolve().parent / "formation_reports"
 
 
 def run_formation(parallel: bool, plan: FaultPlan = None):
@@ -90,37 +99,37 @@ class TestParallelEquivalence:
         )
 
     def test_equivalent_under_faults(self):
-        # An unbounded always-matching fault keeps injection independent
-        # of thread interleaving (limit-bounded specs are consumed in
-        # call order, which worker scheduling would perturb): every TN
-        # negotiation times out in both modes, all four roles degrade.
-        plan = FaultPlan(timeout_wait_ms=50).always(
-            FaultKind.DB_FAIL, url="urn:vo:tn"
-        )
-        _, _, serial = run_formation(parallel=False, plan=plan)
-        plan = FaultPlan(timeout_wait_ms=50).always(
-            FaultKind.DB_FAIL, url="urn:vo:tn"
-        )
-        _, _, parallel = run_formation(parallel=True, plan=plan)
+        # An unbounded always-matching fault: every TN negotiation
+        # times out in both modes, all four roles degrade.
+        def unbounded():
+            return FaultPlan(timeout_wait_ms=50).always(
+                FaultKind.DB_FAIL, url="urn:vo:tn"
+            )
+
+        _, _, serial = run_formation(parallel=False, plan=unbounded())
+        _, _, parallel = run_formation(parallel=True, plan=unbounded())
         assert serial.joined == []
         assert sorted(serial.degraded) == sorted(ALL_ROLES.values())
         assert_equivalent(serial, parallel)
 
-    def test_max_workers_bounds_the_makespan(self):
-        fixture = formation_workload(4)
-        edition = fixture.initiator_edition
-        edition.create_vo(fixture.contract)
-        edition.enable_trust_negotiation()
-        outcome = edition.execute_formation(
-            fixture.plans(), at=fixture.contract.created_at,
-            parallel=True, max_workers=2,
-        )
-        assert len(outcome.joined) == 4
-        # 4 equal joins on 2 lanes: the makespan is 2 joins, half the
-        # serial-equivalent sum.
-        assert outcome.elapsed_ms == pytest.approx(
-            outcome.serial_ms / 2, rel=0.05
-        )
+        # A limit-bounded spec is consumed in call order.  Both modes
+        # run the joins in plan order, so the same calls draw the three
+        # injections: the first join's retries absorb them and every
+        # role still joins, identically in both modes.
+        def bounded():
+            return FaultPlan(timeout_wait_ms=50).always(
+                FaultKind.DB_FAIL, url="urn:vo:tn", limit=3
+            )
+
+        serial_plan, parallel_plan = bounded(), bounded()
+        _, _, serial = run_formation(parallel=False, plan=serial_plan)
+        _, _, parallel = run_formation(parallel=True, plan=parallel_plan)
+        assert serial_plan.pending() == parallel_plan.pending() == 0
+        assert serial.joined == sorted(ALL_ROLES.values())
+        first_role = next(iter(ALL_ROLES.values()))
+        assert serial.attempts[first_role] == 2
+        assert_equivalent(serial, parallel)
+        assert parallel.serial_ms == pytest.approx(serial.elapsed_ms)
 
     def test_parallel_single_plan_falls_back_to_serial(self):
         fixture = formation_workload(1)
@@ -132,3 +141,42 @@ class TestParallelEquivalence:
         )
         assert outcome.mode == "serial"
         assert len(outcome.joined) == 1
+
+
+def _formation_workload(roles: int):
+    fixture = formation_workload(roles)
+    edition = fixture.initiator_edition
+    edition.create_vo(fixture.contract)
+    edition.enable_trust_negotiation()
+    return edition.execute_formation(
+        fixture.plans(), at=fixture.contract.created_at, parallel=True,
+    )
+
+
+SETUPS = {
+    "formation-4": lambda: _formation_workload(4),
+    "formation-16": lambda: _formation_workload(16),
+    "aircraft": lambda: run_formation(parallel=True)[2],
+    "aircraft-db-fail": lambda: run_formation(
+        parallel=True,
+        plan=FaultPlan(timeout_wait_ms=50).always(
+            FaultKind.DB_FAIL, url="urn:vo:tn"
+        ),
+    )[2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SETUPS))
+def test_matches_recorded_thread_pool_formation(name):
+    outcome = SETUPS[name]()
+    assert outcome.mode == "parallel"
+    record = _snapshot(outcome)
+    record.update(
+        elapsed_ms=outcome.elapsed_ms,
+        critical_path_ms=outcome.critical_path_ms,
+        serial_ms=outcome.serial_ms,
+    )
+    # The JSON round trip turns tuples into lists, as in the recording.
+    assert json.loads(json.dumps(record)) == json.loads(
+        (RECORDED / f"{name}.json").read_text()
+    )
