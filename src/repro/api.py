@@ -37,7 +37,6 @@ from repro import obs
 from repro.errors import ErrorCode
 from repro.credentials import (
     AttributeCertificate,
-    batch_prewarm_signatures,
     Credential,
     CredentialAuthority,
     CredentialValidator,
@@ -48,7 +47,7 @@ from repro.credentials import (
     VOMembershipToken,
     XProfile,
 )
-from repro.crypto import KeyPair, Keyring, verify_b64_batch, verify_batch
+from repro.crypto import KeyPair, Keyring
 from repro.faults.adversarial import Probe, build_probe
 from repro.faults.demo import run_demo as run_fault_demo
 from repro.faults.injector import FaultInjector
@@ -268,9 +267,6 @@ __all__ = [
     "SelectiveCredential",
     "KeyPair",
     "Keyring",
-    "verify_batch",
-    "verify_b64_batch",
-    "batch_prewarm_signatures",
     # policy
     "DisclosurePolicy",
     "PolicyBase",

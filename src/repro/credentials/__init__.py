@@ -29,7 +29,6 @@ from repro.credentials.sensitivity import Sensitivity, cred_cluster
 from repro.credentials.validation import (
     CredentialValidator,
     ValidationReport,
-    batch_prewarm_signatures,
 )
 from repro.credentials.x509 import AttributeCertificate, VOMembershipToken
 
@@ -49,6 +48,5 @@ __all__ = [
     "CredentialChain",
     "ChainResolver",
     "CredentialValidator",
-    "batch_prewarm_signatures",
     "ValidationReport",
 ]

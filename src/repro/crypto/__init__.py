@@ -9,7 +9,7 @@ this subpackage implements the needed primitives from scratch:
 - :mod:`repro.crypto.numbers` — Miller-Rabin primality, prime
   generation, modular inverse.
 - :mod:`repro.crypto.rsa` — RSA key generation and PKCS#1-v1.5-style
-  SHA-256 signatures.
+  SHA-256 signatures (CRT signing with a verify-before-release check).
 - :mod:`repro.crypto.keys` — serialization, fingerprints, and keyrings.
 
 Key sizes are configurable; tests and benchmarks default to small-but-
@@ -23,9 +23,8 @@ from repro.crypto.keys import (
     PrivateKey,
     PublicKey,
     verify_b64,
-    verify_b64_batch,
 )
-from repro.crypto.rsa import generate_keypair, sign, verify, verify_batch
+from repro.crypto.rsa import generate_keypair, sign, verify
 
 __all__ = [
     "KeyPair",
@@ -36,6 +35,4 @@ __all__ = [
     "sign",
     "verify",
     "verify_b64",
-    "verify_b64_batch",
-    "verify_batch",
 ]

@@ -70,12 +70,20 @@ def is_probable_prime(candidate: int, rounds: int = 40) -> bool:
 
 
 def generate_prime(bits: int) -> int:
-    """Generate a random probable prime of exactly ``bits`` bits."""
+    """Generate a random probable prime of exactly ``bits`` bits.
+
+    The top two bits are forced, so the product of a ``bits``-bit and a
+    ``bits'``-bit prime always has ``bits + bits'`` bits (each prime is
+    at least ``1.5 * 2^(bits-1)``, above FIPS 186-4 B.3.1's
+    ``sqrt(2) * 2^(bits-1)`` bound) and RSA key generation never throws
+    a pair away for a short modulus.
+    """
     if bits < 8:
         raise CryptoError(f"prime size too small: {bits} bits")
     while True:
         candidate = secrets.randbits(bits)
-        candidate |= (1 << (bits - 1)) | 1  # force top bit and oddness
+        # Force the top two bits and oddness.
+        candidate |= (3 << (bits - 2)) | 1
         if is_probable_prime(candidate):
             return candidate
 

@@ -18,11 +18,7 @@ from typing import Optional
 from repro.credentials.credential import Credential
 from repro.credentials.profile import XProfile
 from repro.credentials.selective import SelectiveCredential
-from repro.credentials.validation import (
-    CredentialValidator,
-    OwnershipProof,
-    batch_prewarm_signatures,
-)
+from repro.credentials.validation import CredentialValidator, OwnershipProof
 from repro.crypto.keys import KeyPair
 from repro.errors import NegotiationError, StrategyError
 from repro.negotiation.messages import Disclosure
@@ -404,20 +400,6 @@ class TrustXAgent:
                 "profile to attach a selective form to"
             )
         self.selective[selective.cred_id] = selective
-
-    def prewarm_verification(self, credentials) -> int:
-        """Batch-verify issuer signatures of an incoming disclosure run.
-
-        Called by the negotiation core with the full credentials the
-        counterpart is about to disclose: their issuer-signature checks
-        run in one vectorized pass (:func:`repro.crypto.verify_b64_batch`)
-        and the verdicts land in the CRL-invalidated signature cache, so
-        the per-step :meth:`verify_disclosure` below hits instead of
-        re-running RSA.  Validity, revocation, ownership, and policy
-        checks are *not* prewarmed — they stay per-step.  Returns the
-        number of fresh verdicts computed.
-        """
-        return batch_prewarm_signatures(self.validator, credentials)
 
     def ensure_strategy_supported(self) -> None:
         """Fail fast when a suspicious strategy lacks selective forms."""

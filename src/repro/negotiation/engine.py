@@ -65,11 +65,6 @@ class NegotiationEngine:
     #: the one with the lowest summed sensitivity, ties broken by
     #: disclosure count.
     view_selection: str = "first"
-    #: Batch-verify the issuer signatures of the selected trust
-    #: sequence before stepping the exchange (see
-    #: :class:`~repro.negotiation.core.NegotiationCore`).  Results are
-    #: identical either way; only the RSA wall-clock cost changes.
-    batch_verify: bool = True
 
     # Last-run state, copied back from the core for introspection.
     _tree: NegotiationTree = field(init=False, repr=False)
@@ -84,7 +79,6 @@ class NegotiationEngine:
             max_nodes=self.max_nodes,
             view_limit=self.view_limit,
             view_selection=self.view_selection,
-            batch_verify=self.batch_verify,
         )
 
     def run(

@@ -1,23 +1,12 @@
-"""Batched signature verification — vectorized RSA with scalar verdicts."""
+"""``rsa.verify_batch``: one verdict per triple, each equal to scalar
+``rsa.verify``.  Nothing in the library calls it; it stays while the
+wall-clock benchmark's tracer (``perfbench/``) still names it."""
 
 from __future__ import annotations
 
 import hashlib
 
-import pytest
-
-from repro.credentials.validation import batch_prewarm_signatures
 from repro.crypto import keys, rsa
-from repro.negotiation.engine import NegotiationEngine
-from repro.perf import SIGNATURE_CACHE, caches_disabled, clear_all_caches
-from repro.scenario.workloads import chain_workload
-
-
-@pytest.fixture(autouse=True)
-def _cold_caches():
-    clear_all_caches()
-    yield
-    clear_all_caches()
 
 
 def _signed(keypair: keys.KeyPair, message: bytes):
@@ -62,72 +51,3 @@ class TestRsaVerifyBatch:
 
     def test_empty_batch(self):
         assert rsa.verify_batch([]) == []
-
-
-class TestVerifyB64Batch:
-    def test_malformed_base64_is_invalid_in_place(self):
-        pair = keys.KeyPair.generate(512)
-        message = b"payload"
-        digest = hashlib.sha256(message).digest()
-        good = pair.private.sign_b64(message)
-        verdicts = keys.verify_b64_batch([
-            (pair.public, digest, good),
-            (pair.public, digest, "%%% not base64 %%%"),
-            (pair.public, digest, good),
-        ])
-        assert verdicts == [True, False, True]
-
-    def test_accepts_a_generator(self):
-        pair = keys.KeyPair.generate(512)
-        digest = hashlib.sha256(b"gen").digest()
-        good = pair.private.sign_b64(b"gen")
-        verdicts = keys.verify_b64_batch(
-            (pair.public, digest, good) for _ in range(3)
-        )
-        assert verdicts == [True, True, True]
-
-
-class TestPrewarm:
-    def test_prewarm_fills_cache_then_noops(self):
-        fixture = chain_workload(4)
-        validator = fixture.controller.validator
-        credentials = list(fixture.requester.profile)
-        assert credentials
-        fresh = batch_prewarm_signatures(validator, credentials)
-        assert fresh == len(credentials)
-        # Everything is cached now: a second pass verifies nothing.
-        assert batch_prewarm_signatures(validator, credentials) == 0
-        # The warmed verdicts are the ones validate() consumes.
-        hits_before = SIGNATURE_CACHE.stats().hits
-        for credential in credentials:
-            report = validator.validate(
-                credential, fixture.negotiation_time()
-            )
-            assert report.signature_ok
-        assert SIGNATURE_CACHE.stats().hits >= hits_before + len(credentials)
-
-    def test_prewarm_disabled_with_caches(self):
-        fixture = chain_workload(2)
-        credentials = list(fixture.requester.profile)
-        with caches_disabled():
-            assert batch_prewarm_signatures(
-                fixture.controller.validator, credentials
-            ) == 0
-
-    def test_engine_results_identical_with_and_without_batching(self):
-        records = []
-        for batch in (True, False):
-            clear_all_caches()
-            fixture = chain_workload(5)
-            engine = NegotiationEngine(
-                fixture.requester, fixture.controller, batch_verify=batch
-            )
-            result = engine.run(
-                fixture.resource, at=fixture.negotiation_time()
-            )
-            assert result.success
-            records.append(result.to_audit_record())
-        batched, scalar = records
-        # Audit records embed party names and credential ids, which the
-        # two fixtures share; only RSA scheduling differed.
-        assert batched == scalar

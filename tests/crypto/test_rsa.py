@@ -1,9 +1,13 @@
 """RSA key generation and signatures."""
 
+import hashlib
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import rsa
+from repro.crypto.numbers import generate_prime
 from repro.errors import CryptoError, SignatureError
 
 
@@ -32,6 +36,28 @@ class TestKeyGeneration:
 
     def test_distinct_keys(self):
         assert rsa.generate_keypair(512).modulus != rsa.generate_keypair(512).modulus
+
+    @pytest.mark.parametrize("bits", [64, 127, 256, 512])
+    def test_primes_have_top_two_bits_set(self, bits):
+        for _ in range(10):
+            prime = generate_prime(bits)
+            assert prime.bit_length() == bits
+            assert prime >> (bits - 2) == 0b11
+
+    @pytest.mark.parametrize("bits", [256, 511, 512, 1024])
+    def test_every_modulus_has_exactly_the_requested_bits(self, bits):
+        for _ in range(5):
+            key = rsa.generate_keypair(bits)
+            assert key.modulus.bit_length() == bits
+            assert key.prime_p * key.prime_q == key.modulus
+
+    def test_crt_parameters_stay_out_of_equality_and_repr(self, key):
+        twin = rsa.RSAPrivateKey(
+            key.modulus, key.public_exponent, key.private_exponent,
+            key.prime_p, key.prime_q,
+        )
+        assert twin == key and hash(twin) == hash(key)
+        assert "_crt" not in repr(key)
 
 
 class TestSignVerify:
@@ -78,6 +104,59 @@ class TestSignVerify:
         tiny = rsa.generate_keypair(256)
         with pytest.raises(SignatureError):
             rsa.sign(tiny, b"msg")
+
+
+def _encoded(key: rsa.RSAPrivateKey, message: bytes) -> int:
+    """The padded message representative ``m`` that ``sign`` exponentiates."""
+    digest = hashlib.sha256(message).digest()
+    return int.from_bytes(rsa._pad_digest(digest, key.byte_length), "big")
+
+
+class TestCRTFaultCheck:
+    def test_faulty_half_raises_instead_of_signing(self, key):
+        d_p, d_q, q_inv = key._crt
+        faulty = rsa.RSAPrivateKey(
+            key.modulus, key.public_exponent, key.private_exponent,
+            key.prime_p, key.prime_q,
+        )
+        object.__setattr__(faulty, "_crt", (d_p ^ 2, d_q, q_inv))
+        with pytest.raises(SignatureError, match="fault check"):
+            rsa.sign(faulty, b"the design-optimization control file")
+        # The original key is untouched and still signs.
+        assert rsa.verify(key.public_key, b"x", rsa.sign(key, b"x"))
+
+    @pytest.mark.parametrize("corrupt", ["p", "q"])
+    def test_unchecked_faulty_signature_would_reveal_a_factor(
+        self, key, corrupt
+    ):
+        """Boneh-DeMillo-Lipton: the value the check withholds factors n."""
+        m = _encoded(key, b"msg")
+        p, q, n, e = key.prime_p, key.prime_q, key.modulus, key.public_exponent
+        d_p, d_q, q_inv = key._crt
+        if corrupt == "p":
+            d_p ^= 2
+        else:
+            d_q ^= 2
+        s_p, s_q = pow(m, d_p, p), pow(m, d_q, q)
+        faulty = s_q + q * ((s_p - s_q) * q_inv % p)
+        assert pow(faulty, e, n) != m
+        leaked = gcd(pow(faulty, e, n) - m, n)
+        assert leaked == (p if corrupt == "q" else q)
+        assert leaked in (p, q)
+
+
+_PARITY_KEYS = {bits: rsa.generate_keypair(bits) for bits in (512, 1024)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    message=st.binary(max_size=256),
+    bits=st.sampled_from(sorted(_PARITY_KEYS)),
+)
+def test_crt_sign_matches_textbook_pow(message, bits):
+    key = _PARITY_KEYS[bits]
+    reference = pow(_encoded(key, message), key.private_exponent, key.modulus)
+    assert rsa.sign(key, message) == reference.to_bytes(key.byte_length, "big")
 
 
 @settings(max_examples=20, deadline=None)
