@@ -96,9 +96,7 @@ from repro.perf import (
     all_stats as perf_cache_stats,
     caches_disabled,
     clear_all_caches,
-    lock_free_caches,
     set_caches_enabled,
-    set_lock_free,
 )
 from repro.policy import (
     ComplianceChecker,
@@ -348,8 +346,6 @@ __all__ = [
     "caches_disabled",
     "clear_all_caches",
     "set_caches_enabled",
-    "set_lock_free",
-    "lock_free_caches",
     # nonmonotonic trust
     "TrustBus",
     "TrustEvent",

@@ -1,14 +1,14 @@
 """Asyncio router over the TN shards: hedged starts, async failover.
 
-:class:`AioShardedTNService` is the asyncio twin of
-:class:`~repro.cluster.sharded.ShardedTNService`.  It binds an
-*awaitable* handler at the cluster URL, builds
-:class:`~repro.services.aio.AioTNWebService` shards (so engine turns
-interleave on the event loop), forwards through ``transport.acall``
-(shard hops stay faultable through an async
-:class:`~repro.faults.injector.FaultInjector`), and inherits the
-health-aware routing, ejection, and probing machinery from the base
-router — probes simply await.
+:class:`AioShardedTNService` is a thin asyncio driver over the routing
+generator of :class:`~repro.cluster.sharded.ShardedTNService`: its
+:meth:`~AioShardedTNService.ahandle` runs the same routing, start
+replay, placement, failover and health-probing code, awaiting
+``transport.acall`` for each shard hop (shard hops stay faultable
+through a :class:`~repro.faults.injector.FaultInjector`).  It binds
+that *awaitable* handler at the cluster URL and builds
+:class:`~repro.services.aio.AioTNWebService` shards, so engine turns
+interleave on the event loop.
 
 On top of that it adds **hedged requests** for ``StartNegotiation``:
 when the primary shard has not answered within the hedge delay (a
@@ -58,7 +58,8 @@ from repro.obs import (
     event as obs_event,
 )
 from repro.errors import TransportError
-from repro.services.aio import AioTNWebService
+from repro.services.aio import AioTNWebService, arun
+from repro.services.effects import Call
 
 __all__ = ["AioShardedTNService", "HedgePolicy", "HedgeStats"]
 
@@ -147,83 +148,27 @@ class AioShardedTNService(ShardedTNService):
             "through AioSimTransport.acall"
         )
 
-    # -- async routing ----------------------------------------------------------------
-
     async def ahandle(self, operation: str, payload: dict) -> dict:
-        if self._closed:
-            raise TransportError(f"TN cluster at {self.url!r} is closed")
-        self._revive_due()
-        await self._aprobe_ejected()
-        if operation == "StartNegotiation":
-            requester = payload.get("requester") if isinstance(
-                payload, dict
-            ) else None
-            request_key = ""
-            if isinstance(payload, dict):
-                request_key = str(payload.get("requestId") or "")
-            # A retried start whose original race was won by the hedge
-            # (or whose shard was since ejected or killed): route-by-
-            # hash would hit a shard that no longer holds the dedup
-            # entry, so the router answers faithful retries itself and
-            # rejects tampered token reuse (REPLAY_MISMATCH).
-            replayed = self._replayed_start(request_key, payload)
-            if replayed is not None:
-                self.hedge_stats.replays += 1
-                return replayed
-            self._shed_if_saturated()
-            key = request_key or getattr(requester, "name", "") or "anonymous"
-            node = self._node_for_key(key)
-            if self._should_hedge(payload):
-                response, served_by = await self._ahedged_start(
-                    node, key, payload
-                )
-            else:
-                response, served_by = await self._aforward(
-                    node, operation, payload
-                )
-            negotiation_id = None
-            if isinstance(response, dict):
-                negotiation_id = response.get("negotiationId")
-            if negotiation_id:
-                self._placements[negotiation_id] = served_by.index
-                self._remember_start(request_key, payload, response)
-            return response
-        negotiation_id = ""
-        if isinstance(payload, dict):
-            negotiation_id = str(payload.get("negotiationId") or "")
-        node = self._node_for_session(negotiation_id)
-        response, _ = await self._aforward(node, operation, payload)
-        return response
+        return await arun(self._route(operation, payload), self.transport)
 
-    async def _aforward(
-        self, node: ShardNode, operation: str, payload: dict
-    ) -> tuple[dict, ShardNode]:
+    def _replayed_start(self, key: str, payload: dict) -> Optional[dict]:
+        replayed = super()._replayed_start(key, payload)
+        if replayed is not None:
+            self.hedge_stats.replays += 1
+        return replayed
+
+    def _start(self, node: ShardNode, key: str, payload: dict):
+        """Hedge the start when the policy allows it; otherwise forward
+        it and keep its latency as a sample for the adaptive delay."""
+        if self._should_hedge(payload):
+            return (yield from self._hedged_start(node, key, payload))
         began = self.transport.clock.elapsed_ms
-        try:
-            response = await self.transport.acall(
-                node.url, operation, payload
+        response, served_by = yield from super()._start(node, key, payload)
+        if served_by is node:
+            self._hedge_samples.append(
+                self.transport.clock.elapsed_ms - began
             )
-        except TransportError:
-            # Same contract as the sync router: declare the shard
-            # dead, migrate its journalled sessions to the ring
-            # successor, retry once there.
-            self._note_shard_failure(node.url)
-            survivor = self._failover(node)
-            if survivor is None:
-                raise
-            began = self.transport.clock.elapsed_ms
-            response = await self.transport.acall(
-                survivor.url, operation, payload
-            )
-            self._note_shard_success(
-                survivor.url, self.transport.clock.elapsed_ms - began
-            )
-            return response, survivor
-        latency = self.transport.clock.elapsed_ms - began
-        if operation == "StartNegotiation":
-            self._hedge_samples.append(latency)
-        self._note_shard_success(node.url, latency)
-        return response, node
+        return response, served_by
 
     # -- hedging ----------------------------------------------------------------------
 
@@ -251,9 +196,9 @@ class AioShardedTNService(ShardedTNService):
                 return node
         return None
 
-    async def _ahedged_start(
-        self, primary: ShardNode, key: str, payload: dict
-    ) -> tuple[dict, ShardNode]:
+    def _hedged_start(self, primary: ShardNode, key: str, payload: dict):
+        """Race the primary against a delayed hedge leg on forked clock
+        branches; returns ``(winning response, winning node)``."""
         self.hedge_stats.considered += 1
         delay = self.hedge_policy.current_delay(self._hedge_samples)
         current = self.transport.clock
@@ -262,7 +207,7 @@ class AioShardedTNService(ShardedTNService):
         primary_error: Optional[Exception] = None
         with self.transport.clock_branch(current) as primary_branch:
             try:
-                primary_response = await self.transport.acall(
+                primary_response = yield Call(
                     primary.url, "StartNegotiation", payload
                 )
             except Exception as exc:  # noqa: BLE001 - raced below
@@ -291,7 +236,7 @@ class AioShardedTNService(ShardedTNService):
         with self.transport.clock_branch(current) as hedge_branch:
             hedge_branch.advance(delay)  # fires after the hedge delay
             try:
-                hedge_response = await self.transport.acall(
+                hedge_response = yield Call(
                     backup.url, "StartNegotiation", payload
                 )
             except Exception as exc:  # noqa: BLE001 - raced below
@@ -355,28 +300,3 @@ class AioShardedTNService(ShardedTNService):
         self.hedge_stats.cancelled += 1
         if obs_enabled():
             obs_count("cluster.hedges.cancelled")
-
-    # -- async health probing ----------------------------------------------------------
-
-    async def _aprobe_ejected(self) -> None:
-        tracker = self.health
-        if tracker is None:
-            return
-        now = self.transport.clock.elapsed_ms
-        for node in self._nodes:
-            if not node.live or not tracker.probe_due(node.url, now):
-                continue
-            tracker.note_probe(node.url, now)
-            self.health_probes += 1
-            self._probe_verdict(node, await self._aprobe_once(node), now)
-
-    async def _aprobe_once(self, node: ShardNode) -> bool:
-        operation, payload = self._probe_payload()
-        with self.transport.clock_branch() as branch:
-            began = branch.elapsed_ms
-            error: Optional[Exception] = None
-            try:
-                await self.transport.acall(node.url, operation, payload)
-            except Exception as exc:  # noqa: BLE001 - classified below
-                error = exc
-            return self._probe_result(branch, began, error)

@@ -54,6 +54,7 @@ from repro.obs import (
     event as obs_event,
     gauge as obs_gauge,
 )
+from repro.services.effects import Call, run
 from repro.services.resilience_core import TRANSIENT_ERRORS
 from repro.services.tn_service import (
     NegotiationSession,
@@ -193,7 +194,7 @@ class ShardedTNService:
 
     def _endpoint_handler(self):
         """The callable bound at the cluster URL (async routers bind
-        their awaitable twin)."""
+        their awaitable driver)."""
         return self.handle
 
     def _service_class(self) -> type[TNWebService]:
@@ -347,12 +348,21 @@ class ShardedTNService:
     # -- routing -------------------------------------------------------------------
 
     def handle(self, operation: str, payload: dict) -> dict:
+        return run(self._route(operation, payload), self.transport)
+
+    def _route(self, operation: str, payload: dict):
+        """Route one request, as a generator of
+        :class:`~repro.services.effects.Call` effects on the router's
+        transport (the sync driver is :meth:`handle`, the asyncio one
+        :meth:`AioShardedTNService.ahandle
+        <repro.cluster.aio.AioShardedTNService.ahandle>`)."""
         if self._closed:
             raise TransportError(
                 f"TN cluster at {self.url!r} is closed"
             )
         self._revive_due()
-        self._probe_ejected()
+        if self.health is not None:
+            yield from self._probe_ejected()
         if operation == "StartNegotiation":
             requester = payload.get("requester") if isinstance(
                 payload, dict
@@ -360,13 +370,18 @@ class ShardedTNService:
             request_key = ""
             if isinstance(payload, dict):
                 request_key = str(payload.get("requestId") or "")
+            # A retried start whose shard has since lost the dedup
+            # entry (a hedge cancellation, an ejection, a kill):
+            # route-by-hash would mint a duplicate, so the router
+            # answers faithful retries itself and rejects tampered
+            # token reuse (REPLAY_MISMATCH).
             replayed = self._replayed_start(request_key, payload)
             if replayed is not None:
                 return replayed
             self._shed_if_saturated()
             key = request_key or getattr(requester, "name", "") or "anonymous"
             node = self._node_for_key(key)
-            response, served_by = self._forward(node, operation, payload)
+            response, served_by = yield from self._start(node, key, payload)
             negotiation_id = None
             if isinstance(response, dict):
                 negotiation_id = response.get("negotiationId")
@@ -378,8 +393,13 @@ class ShardedTNService:
         if isinstance(payload, dict):
             negotiation_id = str(payload.get("negotiationId") or "")
         node = self._node_for_session(negotiation_id)
-        response, _ = self._forward(node, operation, payload)
+        response, _ = yield from self._forward(node, operation, payload)
         return response
+
+    def _start(self, node: ShardNode, key: str, payload: dict):
+        """Forward a ``StartNegotiation`` to its routed shard (the
+        asyncio router may hedge it instead)."""
+        return (yield from self._forward(node, "StartNegotiation", payload))
 
     @property
     def sessions_in_flight(self) -> int:
@@ -537,12 +557,13 @@ class ShardedTNService:
         # unknown-session rejection).
         return self._node_for_key(negotiation_id or "unplaced")
 
-    def _forward(
-        self, node: ShardNode, operation: str, payload: dict
-    ) -> tuple[dict, ShardNode]:
+    def _forward(self, node: ShardNode, operation: str, payload: dict):
+        """Forward to ``node``; on a transport-level failure, fail its
+        sessions over and retry once on the successor.  Returns
+        ``(response, serving node)``."""
         began = self.transport.clock.elapsed_ms
         try:
-            response = self.transport.call(node.url, operation, payload)
+            response = yield Call(node.url, operation, payload)
         except TransportError:
             # Endpoint unreachable (crashed, unbound, or response
             # lost): declare it dead and retry once on the successor
@@ -552,7 +573,7 @@ class ShardedTNService:
             if survivor is None:
                 raise
             began = self.transport.clock.elapsed_ms
-            response = self.transport.call(survivor.url, operation, payload)
+            response = yield Call(survivor.url, operation, payload)
             self._note_shard_success(
                 survivor.url, self.transport.clock.elapsed_ms - began
             )
@@ -597,18 +618,17 @@ class ShardedTNService:
             self.health.healthy_count(live_urls),
         )
 
-    def _probe_ejected(self) -> None:
+    def _probe_ejected(self):
         """Half-open probe ejected-but-live shards (rate-limited)."""
         tracker = self.health
-        if tracker is None:
-            return
         now = self.transport.clock.elapsed_ms
         for node in self._nodes:
             if not node.live or not tracker.probe_due(node.url, now):
                 continue
             tracker.note_probe(node.url, now)
             self.health_probes += 1
-            self._probe_verdict(node, self._probe_once(node), now)
+            alive = yield from self._probe_once(node)
+            self._probe_verdict(node, alive, now)
 
     def _probe_verdict(self, node: ShardNode, alive: bool,
                        now: float) -> None:
@@ -649,15 +669,15 @@ class ShardedTNService:
             "clientSeq": 1,
         }
 
-    def _probe_once(self, node: ShardNode) -> bool:
-        """One synchronous probe on a discarded clock branch (callers
-        never pay for probing)."""
+    def _probe_once(self, node: ShardNode):
+        """One probe on a discarded clock branch (callers never pay
+        for probing); returns whether the shard looks alive."""
         operation, payload = self._probe_payload()
         with self.transport.clock_branch() as branch:
             began = branch.elapsed_ms
             error: Optional[Exception] = None
             try:
-                self.transport.call(node.url, operation, payload)
+                yield Call(node.url, operation, payload)
             except Exception as exc:  # noqa: BLE001 - classified below
                 error = exc
             return self._probe_result(branch, began, error)

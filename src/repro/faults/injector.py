@@ -55,7 +55,9 @@ from repro.errors import (
 from repro.faults.adversarial import build_probe
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.obs import count as obs_count, enabled as obs_enabled, event as obs_event
-from repro.services.transport import LatencyModel, SimTransport
+from repro.services.aio import arun
+from repro.services.effects import Call, run
+from repro.services.transport import DelegatingTransport, SimTransport
 
 __all__ = ["FaultInjector"]
 
@@ -79,7 +81,7 @@ class _Endpoint:
 
 
 @dataclass
-class FaultInjector:
+class FaultInjector(DelegatingTransport):
     """Injects the plan's faults into calls on the inner transport."""
 
     inner: SimTransport
@@ -109,59 +111,6 @@ class FaultInjector:
     #: Bounded per-endpoint history of delivered messages, the raw
     #: material for replay/Byzantine probes.
     _history: dict[str, deque] = field(default_factory=dict)
-
-    # -- transport interface (delegation) ------------------------------------------
-
-    @property
-    def clock(self):
-        return self.inner.clock
-
-    @property
-    def base_clock(self):
-        return self.inner.base_clock
-
-    def clock_branch(self, source=None):
-        return self.inner.clock_branch(source)
-
-    @property
-    def model(self) -> LatencyModel:
-        return self.inner.model
-
-    @property
-    def calls(self) -> int:
-        return self.inner.calls
-
-    @property
-    def charges(self):
-        return self.inner.charges
-
-    def bind(self, url: str, handler) -> None:
-        self.inner.bind(url, handler)
-
-    def unbind(self, url: str) -> None:
-        self.inner.unbind(url)
-
-    def is_bound(self, url: str) -> bool:
-        return self.inner.is_bound(url)
-
-    def endpoints(self) -> list[str]:
-        return self.inner.endpoints()
-
-    def charge_messages(self, count: int) -> None:
-        self.inner.charge_messages(count)
-
-    def charge_db(self, reads: int = 0, writes: int = 0,
-                  connect: bool = False) -> None:
-        self.inner.charge_db(reads=reads, writes=writes, connect=connect)
-
-    def charge_crypto(self, signs: int = 0, verifies: int = 0) -> None:
-        self.inner.charge_crypto(signs=signs, verifies=verifies)
-
-    def charge_ui(self, interactions: int = 1) -> None:
-        self.inner.charge_ui(interactions)
-
-    def charge_mail(self, deliveries: int = 1) -> None:
-        self.inner.charge_mail(deliveries)
 
     # -- crash / restart wiring ------------------------------------------------------
 
@@ -235,9 +184,8 @@ class FaultInjector:
                 call_index=self.call_index,
             )
 
-    def _deliver_after_restart(
-        self, url: str, operation: str, payload: dict
-    ) -> dict:
+    def _deliver_after_restart(self, url: str, operation: str,
+                               payload: dict):
         """Cancel any remaining downtime, run the restart hook if the
         endpoint is actually unbound, and deliver the call to the
         recovered node."""
@@ -246,13 +194,28 @@ class FaultInjector:
         if entry.restart is not None and not self.inner.is_bound(url):
             entry.restart()
             entry.restarts += 1
-        response = self.inner.call(url, operation, payload)
+        response = yield Call(url, operation, payload)
         self._remember(url, operation, payload)
         return response
 
     # -- invocation -------------------------------------------------------------------
+    #
+    # One generator, :meth:`_deliver`, holds the fault semantics; the
+    # sync driver performs its calls with ``inner.call`` and the
+    # asyncio driver awaits ``inner.acall``.  Both share the global
+    # call counter, the plan and the fault bookkeeping (counters,
+    # skips, probe records), so a mixed-driver process drains one plan
+    # deterministically.
 
     def call(self, url: str, operation: str, payload: dict) -> dict:
+        return run(self._deliver(url, operation, payload), self.inner)
+
+    async def acall(self, url: str, operation: str, payload: dict) -> dict:
+        return await arun(self._deliver(url, operation, payload), self.inner)
+
+    def _deliver(self, url: str, operation: str, payload: dict):
+        """The plan's fault handling for one call, as a generator of
+        :class:`~repro.services.effects.Call` effects on ``inner``."""
         self.call_index += 1
         if self.is_down(url):
             # The caller retransmits into a dead endpoint and waits out
@@ -264,7 +227,9 @@ class FaultInjector:
             spec = self.plan.take(url, operation, self.call_index)
             if spec is not None and spec.kind is FaultKind.NODE_RESTART:
                 self._note_injection(spec, url, operation)
-                return self._deliver_after_restart(url, operation, payload)
+                return (yield from self._deliver_after_restart(
+                    url, operation, payload
+                ))
             if spec is not None:
                 self.skipped[spec.kind] += 1
                 obs_count(f"faults.skipped.{spec.kind.value}")
@@ -277,16 +242,16 @@ class FaultInjector:
         self._maybe_restart(url)
         spec = self.plan.take(url, operation, self.call_index)
         if spec is None:
-            response = self.inner.call(url, operation, payload)
+            response = yield Call(url, operation, payload)
             self._remember(url, operation, payload)
             return response
         self._note_injection(spec, url, operation)
         if spec.kind.adversarial:
             # Hostile peer: the legitimate call goes through unchanged,
             # then the probe derived from it strikes the same endpoint.
-            response = self.inner.call(url, operation, payload)
+            response = yield Call(url, operation, payload)
             self._remember(url, operation, payload)
-            self._fire_probe(spec.kind, url, operation, payload)
+            yield from self._fire_probe(spec.kind, url, operation, payload)
             return response
         if spec.kind is FaultKind.DROP:
             self.clock.advance(
@@ -297,15 +262,15 @@ class FaultInjector:
                 f"(call {self.call_index})"
             )
         if spec.kind is FaultKind.TIMEOUT:
-            self.inner.call(url, operation, payload)  # effects happen
+            yield Call(url, operation, payload)  # effects happen
             self.clock.advance(self.plan.timeout_wait_ms)
             raise TimeoutError(
                 f"response for {operation!r} from {url!r} lost "
                 f"(call {self.call_index})"
             )
         if spec.kind is FaultKind.DUPLICATE:
-            self.inner.call(url, operation, payload)
-            return self.inner.call(url, operation, payload)
+            yield Call(url, operation, payload)
+            return (yield Call(url, operation, payload))
         if spec.kind in (FaultKind.CRASH, FaultKind.NODE_CRASH):
             self.crash_endpoint(url)
             self.clock.advance(
@@ -318,12 +283,14 @@ class FaultInjector:
         if spec.kind is FaultKind.NODE_RESTART:
             # Revive-now: the restart hook replays the node's durable
             # journal, then the call is delivered to the recovered node.
-            return self._deliver_after_restart(url, operation, payload)
+            return (yield from self._deliver_after_restart(
+                url, operation, payload
+            ))
         if spec.kind is FaultKind.WAL_TORN_WRITE:
             # Power fails while the checkpoint record is mid-append:
             # the handler's effects land, the WAL tail is torn, the
             # node dies, and the caller never hears back.
-            self.inner.call(url, operation, payload)
+            yield Call(url, operation, payload)
             entry = self._endpoints.setdefault(url, _Endpoint())
             if entry.tear is not None:
                 entry.tear()
@@ -347,125 +314,13 @@ class FaultInjector:
         if spec.kind is FaultKind.SLOW:
             # Degraded but alive: the handler runs and the response
             # arrives — late.  Retries can't fix this; hedging can.
-            response = self.inner.call(url, operation, payload)
+            response = yield Call(url, operation, payload)
             self._remember(url, operation, payload)
             self.clock.advance(self.plan.slow_ms)
             return response
         raise TransportError(  # pragma: no cover - enum is closed
             f"unhandled fault kind {spec.kind!r}"
         )
-
-    # -- async invocation ----------------------------------------------------------
-    #
-    # The asyncio twin of :meth:`call`: same global call counter, same
-    # plan consumption, same fault semantics, with every delivery
-    # awaited through ``inner.acall`` so coroutine endpoints work and
-    # sibling tasks interleave.  Fault bookkeeping (counters, skips,
-    # probe records) is shared with the sync path — a mixed-driver
-    # process drains one plan deterministically.
-
-    async def acall(self, url: str, operation: str, payload: dict) -> dict:
-        self.call_index += 1
-        if self.is_down(url):
-            spec = self.plan.take(url, operation, self.call_index)
-            if spec is not None and spec.kind is FaultKind.NODE_RESTART:
-                self._note_injection(spec, url, operation)
-                return await self._adeliver_after_restart(
-                    url, operation, payload
-                )
-            if spec is not None:
-                self.skipped[spec.kind] += 1
-                obs_count(f"faults.skipped.{spec.kind.value}")
-            self.clock.advance(
-                self.model.message_cost() + self.plan.timeout_wait_ms
-            )
-            raise TimeoutError(
-                f"endpoint {url!r} is down (crashed; call {self.call_index})"
-            )
-        self._maybe_restart(url)
-        spec = self.plan.take(url, operation, self.call_index)
-        if spec is None:
-            response = await self.inner.acall(url, operation, payload)
-            self._remember(url, operation, payload)
-            return response
-        self._note_injection(spec, url, operation)
-        if spec.kind.adversarial:
-            response = await self.inner.acall(url, operation, payload)
-            self._remember(url, operation, payload)
-            await self._afire_probe(spec.kind, url, operation, payload)
-            return response
-        if spec.kind is FaultKind.DROP:
-            self.clock.advance(
-                self.model.message_cost() + self.plan.timeout_wait_ms
-            )
-            raise TimeoutError(
-                f"request {operation!r} to {url!r} dropped "
-                f"(call {self.call_index})"
-            )
-        if spec.kind is FaultKind.TIMEOUT:
-            await self.inner.acall(url, operation, payload)  # effects happen
-            self.clock.advance(self.plan.timeout_wait_ms)
-            raise TimeoutError(
-                f"response for {operation!r} from {url!r} lost "
-                f"(call {self.call_index})"
-            )
-        if spec.kind is FaultKind.DUPLICATE:
-            await self.inner.acall(url, operation, payload)
-            return await self.inner.acall(url, operation, payload)
-        if spec.kind in (FaultKind.CRASH, FaultKind.NODE_CRASH):
-            self.crash_endpoint(url)
-            self.clock.advance(
-                self.model.message_cost() + self.plan.timeout_wait_ms
-            )
-            raise TimeoutError(
-                f"endpoint {url!r} crashed handling {operation!r} "
-                f"(call {self.call_index})"
-            )
-        if spec.kind is FaultKind.NODE_RESTART:
-            return await self._adeliver_after_restart(url, operation, payload)
-        if spec.kind is FaultKind.WAL_TORN_WRITE:
-            await self.inner.acall(url, operation, payload)
-            entry = self._endpoints.setdefault(url, _Endpoint())
-            if entry.tear is not None:
-                entry.tear()
-                entry.torn_writes += 1
-            self.crash_endpoint(url)
-            self.clock.advance(
-                self.model.message_cost() + self.plan.timeout_wait_ms
-            )
-            raise TimeoutError(
-                f"endpoint {url!r} lost power mid-WAL-append handling "
-                f"{operation!r} (call {self.call_index})"
-            )
-        if spec.kind is FaultKind.DB_FAIL:
-            self.clock.advance(
-                self.model.message_cost() + self.model.db_connect_ms
-            )
-            raise DatabaseUnavailableError(
-                f"database connection failed during {operation!r} at "
-                f"{url!r} (call {self.call_index})"
-            )
-        if spec.kind is FaultKind.SLOW:
-            response = await self.inner.acall(url, operation, payload)
-            self._remember(url, operation, payload)
-            self.clock.advance(self.plan.slow_ms)
-            return response
-        raise TransportError(  # pragma: no cover - enum is closed
-            f"unhandled fault kind {spec.kind!r}"
-        )
-
-    async def _adeliver_after_restart(
-        self, url: str, operation: str, payload: dict
-    ) -> dict:
-        """Async twin of :meth:`_deliver_after_restart`."""
-        entry = self._endpoints.setdefault(url, _Endpoint())
-        entry.down_until_ms = None
-        if entry.restart is not None and not self.inner.is_bound(url):
-            entry.restart()
-            entry.restarts += 1
-        response = await self.inner.acall(url, operation, payload)
-        self._remember(url, operation, payload)
-        return response
 
     # -- adversarial probes --------------------------------------------------------------
 
@@ -477,14 +332,15 @@ class FaultInjector:
 
     def _fire_probe(
         self, kind: FaultKind, url: str, operation: str, payload: dict
-    ) -> None:
-        """Deliver one adversarial probe and record its fate."""
+    ):
+        """Deliver one adversarial probe and record its fate (the
+        only place a probe's fate is recorded, for both drivers)."""
         probe = build_probe(
             kind, operation, payload,
             self._history.get(url, ()), self.plan.random(),
         )
         try:
-            self.inner.call(url, probe.operation, probe.payload)
+            yield Call(url, probe.operation, probe.payload)
         except ReproError as exc:
             code = getattr(exc, "error_code", None)
             if code is None:
@@ -505,42 +361,6 @@ class FaultInjector:
             if probe.replay_tolerant:
                 # Idempotent replay answered from the recorded
                 # response: correct behavior, not an anomaly.
-                self.probe_rejections.append((kind, None))
-            else:
-                self.probe_anomalies.append(
-                    f"{kind.value} probe ({probe.operation}) was accepted"
-                )
-        if obs_enabled():
-            obs_count(f"faults.probes.{kind.value}")
-
-    async def _afire_probe(
-        self, kind: FaultKind, url: str, operation: str, payload: dict
-    ) -> None:
-        """Async twin of :meth:`_fire_probe` (probes await ``acall``)."""
-        probe = build_probe(
-            kind, operation, payload,
-            self._history.get(url, ()), self.plan.random(),
-        )
-        try:
-            await self.inner.acall(url, probe.operation, probe.payload)
-        except ReproError as exc:
-            code = getattr(exc, "error_code", None)
-            if code is None:
-                self.probe_anomalies.append(
-                    f"{kind.value} probe ({probe.operation}) rejected "
-                    f"with untyped {type(exc).__name__}: {exc}"
-                )
-            else:
-                self.probe_rejections.append((kind, code))
-                if obs_enabled():
-                    obs_count(f"faults.probe_rejected.{kind.value}")
-        except Exception as exc:  # noqa: BLE001 - anomaly detection
-            self.probe_anomalies.append(
-                f"{kind.value} probe ({probe.operation}) leaked "
-                f"{type(exc).__name__}: {exc}"
-            )
-        else:
-            if probe.replay_tolerant:
                 self.probe_rejections.append((kind, None))
             else:
                 self.probe_anomalies.append(

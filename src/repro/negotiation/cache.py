@@ -244,6 +244,25 @@ class CachingNegotiator:
         **engine_options,
     ) -> NegotiationResult:
         at = at or DEFAULT_NEGOTIATION_TIME
+        result = self.replay_cached(requester, controller, resource, at)
+        if result is not None:
+            return result
+        result = NegotiationEngine(requester, controller, **engine_options).run(
+            resource, at=at
+        )
+        self.store_success(result, requester, controller)
+        return result
+
+    def replay_cached(
+        self,
+        requester: TrustXAgent,
+        controller: TrustXAgent,
+        resource: str,
+        at: datetime,
+    ) -> Optional[NegotiationResult]:
+        """Replay the cached sequence for ``(requester, controller,
+        resource)``; ``None`` is a counted miss (a failed replay also
+        invalidates the entry) and the caller must negotiate."""
         cached = self.cache.lookup(requester.name, controller.name, resource)
         if cached is not None:
             with obs_span(
@@ -262,15 +281,20 @@ class CachingNegotiator:
             obs_count("negotiation.cache.replay_failures")
         self.cache.misses += 1
         obs_count("negotiation.cache.misses")
-        result = NegotiationEngine(requester, controller, **engine_options).run(
-            resource, at=at
-        )
+        return None
+
+    def store_success(
+        self,
+        result: NegotiationResult,
+        requester: TrustXAgent,
+        controller: TrustXAgent,
+    ) -> None:
+        """Cache a freshly negotiated result if it succeeded."""
         if result.success:
             self.cache.store(
                 result,
                 agents={requester.name: requester, controller.name: controller},
             )
-        return result
 
     def _replay(
         self,

@@ -223,7 +223,7 @@ class NegotiationCore:
         # Strategies are fixed for the duration of one negotiation;
         # fetching them once up front keeps the core's later reads
         # consistent even if a driver swaps agent strategies between
-        # interleaved runs (the asyncio service clones instead, but the
+        # interleaved runs (the TN service clones instead, but the
         # core should not depend on that).
         self._strategies[self.requester] = (
             yield AgentOp(self.requester, OP_STRATEGY)

@@ -20,10 +20,7 @@ from repro.perf.caches import (
     caches_enabled,
     clear_all_caches,
     drop_issuer_signatures,
-    lock_free_caches,
-    lock_free_enabled,
     set_caches_enabled,
-    set_lock_free,
 )
 
 __all__ = [
@@ -37,9 +34,6 @@ __all__ = [
     "caches_enabled",
     "set_caches_enabled",
     "caches_disabled",
-    "lock_free_enabled",
-    "set_lock_free",
-    "lock_free_caches",
     "XPATH_CACHE",
     "CANONICAL_CACHE",
     "DIGEST_CACHE",

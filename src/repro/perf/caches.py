@@ -50,9 +50,6 @@ __all__ = [
     "caches_enabled",
     "set_caches_enabled",
     "caches_disabled",
-    "lock_free_enabled",
-    "set_lock_free",
-    "lock_free_caches",
     "XPATH_CACHE",
     "CANONICAL_CACHE",
     "DIGEST_CACHE",
@@ -66,10 +63,10 @@ _MISSING = object()
 class NullLock:
     """A no-op drop-in for :class:`threading.Lock`.
 
-    Under a single-threaded asyncio event loop every cache access
-    happens on one thread, so the real lock only adds per-turn
-    acquire/release overhead.  Swapping it for this object (see
-    :func:`set_lock_free`) removes that cost without touching call
+    When every access happens on one thread — as with
+    ``SimTransport(single_threaded=True)``, whose charges all run on the
+    event-loop thread — the real lock only adds acquire/release
+    overhead, and this object removes that cost without touching call
     sites.  All instances are interchangeable; :data:`NULL_LOCK` is the
     shared one.
     """
@@ -128,7 +125,7 @@ class LRUCache:
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._tags: dict[Hashable, set[Hashable]] = {}
         self._key_tag: dict[Hashable, Hashable] = {}
-        self._lock = NULL_LOCK if _lock_free else threading.Lock()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -298,7 +295,6 @@ _registry: list[LRUCache] = []
 _registry_lock = threading.Lock()
 _enabled = True
 _enabled_lock = threading.Lock()
-_lock_free = False
 
 
 def _register(cache: LRUCache) -> None:
@@ -354,39 +350,6 @@ def caches_disabled() -> Iterator[None]:
         yield
     finally:
         set_caches_enabled(previous)
-
-
-def lock_free_enabled() -> bool:
-    """Whether cache locks are currently elided."""
-    return _lock_free
-
-
-def set_lock_free(enabled: bool) -> bool:
-    """Elide (or restore) the locks of every registered cache.
-
-    Returns the previous mode.  Enabling swaps each cache's lock for
-    :data:`NULL_LOCK` and makes future caches lock-free too; disabling
-    restores real locks.  Only flip this from a single-threaded phase
-    (e.g. before/after running an asyncio event loop) — swapping a lock
-    another thread currently holds is a race by construction.
-    """
-    global _lock_free
-    previous = _lock_free
-    _lock_free = bool(enabled)
-    if previous != _lock_free:
-        for cache in all_caches():
-            cache._lock = NULL_LOCK if _lock_free else threading.Lock()
-    return previous
-
-
-@contextmanager
-def lock_free_caches() -> Iterator[None]:
-    """Run the body with every cache lock elided (see :func:`set_lock_free`)."""
-    previous = set_lock_free(True)
-    try:
-        yield
-    finally:
-        set_lock_free(previous)
 
 
 # ---------------------------------------------------------------------------

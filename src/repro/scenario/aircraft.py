@@ -32,7 +32,6 @@ from repro.credentials.sensitivity import Sensitivity
 from repro.credentials.validation import CredentialValidator
 from repro.crypto.keys import KeyPair, Keyring
 from repro.negotiation.agent import TrustXAgent
-from repro.negotiation.strategies import Strategy
 from repro.ontology.builtin import aerospace_reference_ontology
 from repro.ontology.mapping import ConceptMapper
 from repro.policy.policybase import PolicyBase
@@ -98,25 +97,6 @@ def _keyring(authorities: dict[str, CredentialAuthority]) -> Keyring:
     for authority in authorities.values():
         ring.add(authority.name, authority.public_key)
     return ring
-
-
-def _agent(
-    name: str,
-    profile: XProfile,
-    policies_dsl: str,
-    authorities: dict[str, CredentialAuthority],
-    revocations: RevocationRegistry,
-    strategy: Strategy = Strategy.STANDARD,
-) -> TrustXAgent:
-    return TrustXAgent(
-        name=name,
-        profile=profile,
-        policies=PolicyBase.from_dsl(name, policies_dsl),
-        keypair=KeyPair.generate(512),
-        validator=CredentialValidator(_keyring(authorities), revocations),
-        strategy=strategy,
-        mapper=ConceptMapper(aerospace_reference_ontology()),
-    )
 
 
 def build_contract() -> Contract:

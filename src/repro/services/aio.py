@@ -1,22 +1,27 @@
-"""The asyncio driver for the sans-IO negotiation core.
+"""The asyncio driver for the sans-IO negotiation core and TN stack.
 
 The protocol logic lives in
 :class:`~repro.negotiation.core.NegotiationCore`, which yields
-:class:`~repro.negotiation.core.AgentOp` effects and never blocks.
-This module drives that same core from an asyncio event loop:
+:class:`~repro.negotiation.core.AgentOp` effects and never blocks, and
+the TN request path (client, fault injector, shard router, service) is
+written once as generators of :mod:`repro.services.effects`.  This
+module drives both from an asyncio event loop:
 
-- :func:`anegotiate` — the async twin of
-  :func:`repro.negotiation.engine.negotiate`: fulfils each effect
-  inline and cooperatively yields to the loop between protocol turns,
-  so thousands of negotiations interleave on one thread.
+- :func:`anegotiate` — the asyncio driver of the negotiation core
+  (:func:`repro.negotiation.engine.negotiate` is the sync one):
+  fulfils each effect inline and cooperatively yields to the loop
+  between protocol turns, so thousands of negotiations interleave on
+  one thread.
+- :func:`arun` — the asyncio driver of a request generator: awaits
+  ``transport.acall`` for each :class:`~repro.services.effects.Call`
+  and :func:`anegotiate` for each
+  :class:`~repro.services.effects.Negotiate`.
 - :class:`AioSimTransport` — a :class:`SimTransport` whose ``acall``
   awaits coroutine endpoints; constructed ``single_threaded`` so the
   charge-counter lock is a no-op (the event loop serializes charges).
-- :class:`AioTNClient` / :class:`AioTNWebService` — async twins of the
-  TN client and service.  The service subclasses
-  :class:`~repro.services.tn_service.TNWebService` and reuses its
-  dispatch prelude/epilogue, billing, checkpointing, and replay
-  deduplication verbatim; only the engine invocation is awaited.
+- :class:`AioTNClient` / :class:`AioTNWebService` — subclasses of the
+  TN client and service that add only an ``async`` driver method over
+  the inherited request generator.
 
 Concurrency model: each task runs inside its own
 ``transport.clock_branch()`` (contextvars make the branch task-local),
@@ -26,29 +31,19 @@ open across ``await`` points cost no stack or lock, which is where the
 order-of-magnitude concurrent-session capacity win measured by
 ``benchmarks/test_bench_async.py`` comes from.
 
-Instead of mutating the shared requester agent's strategy around the
-engine run (the sync service's swap/restore, which would race across
-``await`` points when tasks share an agent), :meth:`AioTNWebService.
-_arun_engine` negotiates with a per-call clone carrying the session's
-strategy.
+Tasks that share a requester agent never mutate it: when a session's
+strategy differs from the agent's, the service negotiates with a
+per-call clone carrying the session's strategy (both drivers do).
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
-from dataclasses import dataclass
 from datetime import datetime
 from typing import Any, Generator, Optional
 
-from repro.errors import (
-    InternalServiceError,
-    ReproError,
-    ServiceError,
-    TransportError,
-)
+from repro.errors import TransportError
 from repro.negotiation.agent import TrustXAgent
-from repro.negotiation.cache import CachingNegotiator
 from repro.negotiation.core import (
     AgentOp,
     NegotiationCore,
@@ -57,19 +52,17 @@ from repro.negotiation.core import (
 )
 from repro.negotiation.outcomes import NegotiationResult
 from repro.negotiation.strategies import Strategy
-from repro.obs import (
-    count as obs_count,
-    enabled as obs_enabled,
-    span as obs_span,
-)
+from repro.obs import enabled as obs_enabled, span as obs_span
 from repro.services.clock import SimClock
-from repro.services.tn_client import next_request_id
-from repro.services.tn_service import NegotiationSession, TNWebService
+from repro.services.effects import Call
+from repro.services.tn_client import TNClient
+from repro.services.tn_service import TNWebService
 from repro.services.transport import LatencyModel, SimTransport
 
 __all__ = [
     "adrive",
     "anegotiate",
+    "arun",
     "AioSimTransport",
     "AioTNClient",
     "AioTNWebService",
@@ -150,6 +143,36 @@ async def anegotiate(
     return result
 
 
+async def arun(gen: Generator[Any, Any, Any], transport: Any) -> Any:
+    """Run a request generator on the event loop (the sync driver is
+    :func:`repro.services.effects.run`).
+
+    Awaits exactly one ``transport.acall`` per ``Call`` effect and one
+    :func:`anegotiate` per ``Negotiate`` effect, and throws an
+    effect's exception back into the generator.
+    """
+    reply: Any = None
+    exc: Optional[BaseException] = None
+    while True:
+        try:
+            effect = gen.throw(exc) if exc is not None else gen.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        reply, exc = None, None
+        try:
+            if type(effect) is Call:
+                reply = await transport.acall(
+                    effect.url, effect.operation, effect.payload
+                )
+            else:
+                reply = await anegotiate(
+                    effect.requester, effect.controller, effect.resource,
+                    at=effect.at,
+                )
+        except Exception as error:
+            exc = error
+
+
 class AioSimTransport(SimTransport):
     """A latency-modelled transport whose endpoints may be coroutines.
 
@@ -185,28 +208,14 @@ class AioSimTransport(SimTransport):
         return result
 
 
-@dataclass
-class AioTNClient:
-    """Async twin of :class:`~repro.services.tn_client.TNClient`.
+class AioTNClient(TNClient):
+    """The asyncio driver of :class:`~repro.services.tn_client.TNClient`.
 
     Walks the same three operations in the same order with the same
     idempotency tokens (the requestId counter is shared with the sync
-    client, so mixed-driver processes never collide).
+    client, so mixed-driver processes never collide); ``transport`` is
+    an :class:`AioSimTransport` or an ``acall``-capable decorator.
     """
-
-    transport: AioSimTransport
-    service_url: str
-    agent: TrustXAgent
-    deadline_ms: Optional[float] = None
-    priority: Optional[str] = None
-
-    def _extras(self) -> dict:
-        extras: dict = {}
-        if self.deadline_ms is not None:
-            extras["deadlineMs"] = self.deadline_ms
-        if self.priority is not None:
-            extras["priority"] = self.priority
-        return extras
 
     async def negotiate(
         self,
@@ -215,184 +224,21 @@ class AioTNClient:
         at: Optional[datetime] = None,
     ) -> NegotiationResult:
         """Run StartNegotiation → PolicyExchange → CredentialExchange."""
-        strategy = strategy or self.agent.strategy
-        request_id = next_request_id(self.agent.name, resource)
-        start = await self.transport.acall(
-            self.service_url,
-            "StartNegotiation",
-            {
-                "requester": self.agent,
-                "strategy": strategy.value,
-                "counterpartUrl": f"urn:repro:{self.agent.name}",
-                "requestId": request_id,
-                **self._extras(),
-            },
-        )
-        negotiation_id = start.get("negotiationId")
-        if not negotiation_id:
-            raise ServiceError("StartNegotiation returned no negotiation id")
-        await self.transport.acall(
-            self.service_url,
-            "PolicyExchange",
-            {
-                "negotiationId": negotiation_id,
-                "resource": resource,
-                "at": at,
-                "clientSeq": 1,
-                **self._extras(),
-            },
-        )
-        exchange = await self.transport.acall(
-            self.service_url,
-            "CredentialExchange",
-            {
-                "negotiationId": negotiation_id,
-                "clientSeq": 2,
-                **self._extras(),
-            },
-        )
-        result = exchange.get("result")
-        if not isinstance(result, NegotiationResult):
-            raise ServiceError("CredentialExchange returned no result")
-        return result
+        return await arun(self._calls(resource, strategy, at), self.transport)
 
 
 class AioTNWebService(TNWebService):
     """A TN Web service dispatched from the event loop.
 
-    Binds an *async* endpoint handler; everything around the engine —
-    guards, admission, idempotent replay, billing, checkpoints,
-    session TTLs, in-flight accounting — is inherited unchanged from
-    :class:`TNWebService` through the shared dispatch prelude and
-    epilogue.
+    Binds an *async* endpoint handler over the inherited dispatch
+    generator — guards, admission, idempotent replay, billing,
+    checkpoints, session TTLs, in-flight accounting and the hardened
+    internal-error wrapping are the sync service's code; only the
+    engine run is awaited.
     """
 
     def _endpoint_handler(self):
         return self.ahandle
 
     async def ahandle(self, operation: str, payload: dict) -> dict:
-        if self.hardening is None:
-            return await self._ahandle(operation, payload)
-        try:
-            return await self._ahandle(operation, payload)
-        except ReproError:
-            raise
-        except Exception as exc:
-            self.internal_errors += 1
-            obs_count("tn_service.internal_errors")
-            raise InternalServiceError(
-                f"TN service at {self.url!r} failed handling "
-                f"{operation!r}: {type(exc).__name__}"
-            ) from exc
-
-    async def _ahandle(self, operation: str, payload: dict) -> dict:
-        response, session, seq, resource = self._dispatch_prelude(
-            operation, payload
-        )
-        if response is not None:
-            return response
-        was_terminal = session.terminal
-        if operation == "PolicyExchange":
-            response = await self.apolicy_exchange(session, payload)
-        else:
-            response = await self.acredential_exchange(session, payload)
-        self._dispatch_epilogue(
-            session, operation, seq, resource, response, was_terminal
-        )
-        return response
-
-    async def apolicy_exchange(
-        self, session: NegotiationSession, payload: dict
-    ) -> dict:
-        with obs_span(
-            "tn_service.policy_exchange",
-            clock=self.transport.clock,
-            session=session.session_id,
-            resource=payload.get("resource", ""),
-        ):
-            obs_count("tn_service.operations.policy_exchange")
-            resource = self._policy_resource(payload)
-            result = await self._arun_engine(
-                session, resource, payload.get("at")
-            )
-            return self._policy_response(session, result)
-
-    async def acredential_exchange(
-        self, session: NegotiationSession, payload: dict
-    ) -> dict:
-        with obs_span(
-            "tn_service.credential_exchange",
-            clock=self.transport.clock,
-            session=session.session_id,
-        ):
-            obs_count("tn_service.operations.credential_exchange")
-            if self._credential_needs_resume(session):
-                await self._arun_engine(
-                    session, session.resource or "", session.at
-                )
-            return self._credential_response(session)
-
-    async def _arun_engine(
-        self, session: NegotiationSession, resource: str,
-        at: Optional[datetime],
-    ) -> NegotiationResult:
-        shortcut = self._engine_shortcut(session, resource)
-        if shortcut is not None:
-            return shortcut
-        requester = session.requester
-        at = at or session.at or self.transport.clock.now()
-        if requester.strategy is not session.strategy:
-            # The sync path swaps the shared agent's strategy around the
-            # run; across await points that mutation would race with
-            # sibling tasks sharing the agent, so negotiate with a
-            # per-call clone instead.
-            requester = dataclasses.replace(
-                requester, strategy=session.strategy
-            )
-        if self.cache is not None:
-            result = await self._acached_negotiate(requester, resource, at)
-        else:
-            result = await anegotiate(requester, self.owner, resource, at=at)
-        return self._engine_commit(session, resource, at, result)
-
-    async def _acached_negotiate(
-        self, requester: TrustXAgent, resource: str, at: datetime
-    ) -> NegotiationResult:
-        """:meth:`CachingNegotiator.negotiate` with the engine awaited.
-
-        Cache replay is pure CPU over in-process agents, so the sync
-        ``_replay`` is reused verbatim; only a miss reaches the (async)
-        engine.  Counter and obs semantics match the sync path exactly.
-        """
-        negotiator = CachingNegotiator(self.cache)
-        cached = self.cache.lookup(
-            requester.name, self.owner.name, resource
-        )
-        if cached is not None:
-            with obs_span(
-                "tn.replay",
-                resource=resource,
-                requester=requester.name,
-                controller=self.owner.name,
-            ) as replay_span:
-                replayed = negotiator._replay(
-                    requester, self.owner, cached, at
-                )
-                replay_span.set(replayed=replayed is not None)
-            if replayed is not None:
-                self.cache.hits += 1
-                obs_count("negotiation.cache.replays")
-                return replayed
-            self.cache.invalidate(
-                requester.name, self.owner.name, resource
-            )
-            obs_count("negotiation.cache.replay_failures")
-        self.cache.misses += 1
-        obs_count("negotiation.cache.misses")
-        result = await anegotiate(requester, self.owner, resource, at=at)
-        if result.success:
-            self.cache.store(
-                result,
-                agents={requester.name: requester, self.owner.name: self.owner},
-            )
-        return result
+        return await arun(self._serve(operation, payload), self.transport)

@@ -1,10 +1,12 @@
 """Asyncio driver for the sans-IO resilience core.
 
-:class:`AioResilientTransport` is the async twin of
-:class:`~repro.services.resilience.ResilientTransport`: the same
+:class:`AioResilientTransport` is a subclass of
+:class:`~repro.services.resilience.ResilientTransport` that adds one
+method, an asyncio driver: the same
 :func:`~repro.services.resilience_core.resilience_call` generator
-makes every retry/backoff/deadline/breaker decision, but effects are
-fulfilled cooperatively on the event loop —
+makes every retry/backoff/deadline/breaker decision, and the
+configuration, breakers and transport delegation are inherited.  Only
+the way effects are fulfilled differs —
 
 - ``Attempt`` → ``await inner.acall(...)`` (the endpoint may be a
   coroutine, and sibling tasks interleave at the await point);
@@ -35,110 +37,28 @@ thread-pool path always had.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.services.clock import SimClock
+from repro.services.resilience import ResilientTransport
 from repro.services.resilience_core import (
     Attempt,
     AttemptOutcome,
-    CircuitBreaker,
-    CircuitBreakerPolicy,
-    Fail,
-    ResilienceStats,
-    RetryPolicy,
     Sleep,
     resilience_call,
 )
-from repro.services.transport import LatencyModel
 
 __all__ = ["AioResilientTransport"]
 
 
-@dataclass
-class AioResilientTransport:
+class AioResilientTransport(ResilientTransport):
     """Retry/backoff/circuit-breaker decorator over an async transport.
 
     Drives :func:`resilience_call` with awaited effects; stats,
     breaker transitions, and exception chaining match the sync driver
     bit-for-bit on the same seed and fault plan (proven by
-    ``tests/faults/test_resilience_parity.py``).
+    ``tests/faults/test_resilience_parity.py``).  ``inner`` is an
+    :class:`~repro.services.aio.AioSimTransport` or an
+    ``acall``-capable decorator.
     """
-
-    inner: object  # AioSimTransport or an acall-capable decorator
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker_policy: CircuitBreakerPolicy = field(
-        default_factory=CircuitBreakerPolicy
-    )
-    #: Simulated-ms budget for one logical call across all attempts;
-    #: ``None`` disables the deadline.
-    deadline_ms: float | None = 30_000.0
-    stats: ResilienceStats = field(default_factory=ResilienceStats)
-    _breakers: dict[str, CircuitBreaker] = field(default_factory=dict)
-
-    # -- transport interface (delegation) ------------------------------------------
-
-    @property
-    def clock(self):
-        return self.inner.clock
-
-    @property
-    def base_clock(self) -> SimClock:
-        return self.inner.base_clock
-
-    def clock_branch(self, source: Optional[SimClock] = None):
-        return self.inner.clock_branch(source)
-
-    @property
-    def model(self) -> LatencyModel:
-        return self.inner.model
-
-    @property
-    def calls(self) -> int:
-        return self.inner.calls
-
-    @property
-    def charges(self):
-        return self.inner.charges
-
-    def bind(self, url: str, handler) -> None:
-        self.inner.bind(url, handler)
-
-    def unbind(self, url: str) -> None:
-        self.inner.unbind(url)
-
-    def is_bound(self, url: str) -> bool:
-        return self.inner.is_bound(url)
-
-    def endpoints(self) -> list[str]:
-        return self.inner.endpoints()
-
-    def charge_messages(self, count: int) -> None:
-        self.inner.charge_messages(count)
-
-    def charge_db(self, reads: int = 0, writes: int = 0,
-                  connect: bool = False) -> None:
-        self.inner.charge_db(reads=reads, writes=writes, connect=connect)
-
-    def charge_crypto(self, signs: int = 0, verifies: int = 0) -> None:
-        self.inner.charge_crypto(signs=signs, verifies=verifies)
-
-    def charge_ui(self, interactions: int = 1) -> None:
-        self.inner.charge_ui(interactions)
-
-    def charge_mail(self, deliveries: int = 1) -> None:
-        self.inner.charge_mail(deliveries)
-
-    # -- breakers ---------------------------------------------------------------------
-
-    def breaker(self, url: str) -> CircuitBreaker:
-        breaker = self._breakers.get(url)
-        if breaker is None:
-            breaker = CircuitBreaker(policy=self.breaker_policy)
-            self._breakers[url] = breaker
-        return breaker
-
-    # -- invocation -------------------------------------------------------------------
 
     def call(self, url: str, operation: str, payload: dict) -> dict:
         """Sync calls bypass the async driver; fail loudly instead of

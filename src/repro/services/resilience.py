@@ -45,7 +45,7 @@ hardening layer (:mod:`repro.hardening`):
 All of the decision logic lives in the sans-IO
 :mod:`repro.services.resilience_core` (which this module re-exports
 for backward compatibility); :class:`ResilientTransport` is the thin
-*sync* driver over it, and
+*sync* driver over it, and its subclass
 :class:`~repro.services.aio_resilience.AioResilientTransport` is the
 asyncio driver — see ``docs/RESILIENCE.md``.
 """
@@ -53,9 +53,7 @@ asyncio driver — see ``docs/RESILIENCE.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.services.clock import SimClock
 from repro.services.resilience_core import (
     TRANSIENT_ERRORS,
     Attempt,
@@ -69,7 +67,7 @@ from repro.services.resilience_core import (
     Sleep,
     resilience_call,
 )
-from repro.services.transport import LatencyModel, SimTransport
+from repro.services.transport import DelegatingTransport, SimTransport
 
 __all__ = [
     "RetryPolicy",
@@ -83,7 +81,7 @@ __all__ = [
 
 
 @dataclass
-class ResilientTransport:
+class ResilientTransport(DelegatingTransport):
     """Retry/backoff/circuit-breaker decorator over a transport.
 
     A thin sync driver over :func:`resilience_call`: effects are
@@ -103,59 +101,6 @@ class ResilientTransport:
     deadline_ms: float | None = 30_000.0
     stats: ResilienceStats = field(default_factory=ResilienceStats)
     _breakers: dict[str, CircuitBreaker] = field(default_factory=dict)
-
-    # -- transport interface (delegation) ------------------------------------------
-
-    @property
-    def clock(self):
-        return self.inner.clock
-
-    @property
-    def base_clock(self) -> SimClock:
-        return self.inner.base_clock
-
-    def clock_branch(self, source: Optional[SimClock] = None):
-        return self.inner.clock_branch(source)
-
-    @property
-    def model(self) -> LatencyModel:
-        return self.inner.model
-
-    @property
-    def calls(self) -> int:
-        return self.inner.calls
-
-    @property
-    def charges(self):
-        return self.inner.charges
-
-    def bind(self, url: str, handler) -> None:
-        self.inner.bind(url, handler)
-
-    def unbind(self, url: str) -> None:
-        self.inner.unbind(url)
-
-    def is_bound(self, url: str) -> bool:
-        return self.inner.is_bound(url)
-
-    def endpoints(self) -> list[str]:
-        return self.inner.endpoints()
-
-    def charge_messages(self, count: int) -> None:
-        self.inner.charge_messages(count)
-
-    def charge_db(self, reads: int = 0, writes: int = 0,
-                  connect: bool = False) -> None:
-        self.inner.charge_db(reads=reads, writes=writes, connect=connect)
-
-    def charge_crypto(self, signs: int = 0, verifies: int = 0) -> None:
-        self.inner.charge_crypto(signs=signs, verifies=verifies)
-
-    def charge_ui(self, interactions: int = 1) -> None:
-        self.inner.charge_ui(interactions)
-
-    def charge_mail(self, deliveries: int = 1) -> None:
-        self.inner.charge_mail(deliveries)
 
     # -- breakers ---------------------------------------------------------------------
 

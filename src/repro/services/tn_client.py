@@ -12,6 +12,12 @@ Every logical call carries idempotency tokens — a deterministic
 transport below may be a
 :class:`~repro.services.resilience.ResilientTransport` retrying over a
 faulty network) is deduplicated server-side instead of re-executing.
+
+The three calls are written once, as a generator of
+:class:`~repro.services.effects.Call` effects; :meth:`TNClient.negotiate`
+drives it with ``transport.call`` and
+:meth:`repro.services.aio.AioTNClient.negotiate` awaits
+``transport.acall`` instead.
 """
 
 from __future__ import annotations
@@ -19,12 +25,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Optional
+from typing import Generator, Optional
 
 from repro.errors import ServiceError
 from repro.negotiation.agent import TrustXAgent
 from repro.negotiation.outcomes import NegotiationResult
 from repro.negotiation.strategies import Strategy
+from repro.services.effects import Call, run
 from repro.services.transport import SimTransport
 
 __all__ = ["TNClient", "next_request_id"]
@@ -77,9 +84,19 @@ class TNClient:
         at: Optional[datetime] = None,
     ) -> NegotiationResult:
         """Run StartNegotiation → PolicyExchange → CredentialExchange."""
+        return run(self._calls(resource, strategy, at), self.transport)
+
+    def _calls(
+        self,
+        resource: str,
+        strategy: Optional[Strategy],
+        at: Optional[datetime],
+    ) -> Generator[Call, dict, NegotiationResult]:
+        """The three operations as :class:`~repro.services.effects.Call`
+        effects, shared by the sync and asyncio drivers."""
         strategy = strategy or self.agent.strategy
         request_id = next_request_id(self.agent.name, resource)
-        start = self.transport.call(
+        start = yield Call(
             self.service_url,
             "StartNegotiation",
             {
@@ -93,7 +110,7 @@ class TNClient:
         negotiation_id = start.get("negotiationId")
         if not negotiation_id:
             raise ServiceError("StartNegotiation returned no negotiation id")
-        self.transport.call(
+        yield Call(
             self.service_url,
             "PolicyExchange",
             {
@@ -104,7 +121,7 @@ class TNClient:
                 **self._extras(),
             },
         )
-        exchange = self.transport.call(
+        exchange = yield Call(
             self.service_url,
             "CredentialExchange",
             {

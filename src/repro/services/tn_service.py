@@ -24,7 +24,11 @@ the engine when ``PolicyExchange`` is first invoked and then *bills*
 each phase's messages, database accesses, and cryptographic operations
 to the latency model, so the simulated wall-clock reflects the same
 per-message round trips the prototype paid without re-implementing the
-protocol at the wire level.
+protocol at the wire level.  The dispatch is written once, as a
+generator whose only effect is the engine run
+(:class:`~repro.services.effects.Negotiate`): :meth:`TNWebService.handle`
+runs the engine inline, and the asyncio subclass
+:class:`~repro.services.aio.AioTNWebService` awaits it.
 
 Resilience (this module's additions for partial failure):
 
@@ -53,7 +57,7 @@ Resilience (this module's additions for partial failure):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from typing import Optional
 from xml.etree import ElementTree as ET
@@ -77,7 +81,6 @@ from repro.obs import (
 )
 from repro.negotiation.agent import TrustXAgent
 from repro.negotiation.cache import CachingNegotiator, SequenceCache
-from repro.negotiation.engine import NegotiationEngine
 from repro.negotiation.outcomes import (
     FailureReason,
     NegotiationResult,
@@ -85,6 +88,7 @@ from repro.negotiation.outcomes import (
     UNSATISFIABLE_REASONS,
 )
 from repro.negotiation.strategies import Strategy
+from repro.services.effects import Negotiate, run
 from repro.services.transport import SimTransport
 from repro.storage.document_store import XMLDocumentStore
 from repro.storage.session_store import SessionStore
@@ -471,12 +475,20 @@ class TNWebService:
     # -- dispatch ---------------------------------------------------------------------
 
     def handle(self, operation: str, payload: dict) -> dict:
+        return run(self._serve(operation, payload), None)
+
+    def _serve(self, operation: str, payload: dict):
+        """One request, as a generator whose only effect is
+        :class:`~repro.services.effects.Negotiate`: the sync driver
+        (:meth:`handle`) runs the engine inline, the asyncio driver
+        (:meth:`AioTNWebService.ahandle
+        <repro.services.aio.AioTNWebService.ahandle>`) awaits it."""
         if self.hardening is None:
-            return self._handle(operation, payload)
+            return (yield from self._handle(operation, payload))
         # Hardened boundary: library errors pass through typed, but
         # nothing else may leak to the peer as a stack trace.
         try:
-            return self._handle(operation, payload)
+            return (yield from self._handle(operation, payload))
         except ReproError:
             raise
         except Exception as exc:
@@ -487,34 +499,10 @@ class TNWebService:
                 f"{operation!r}: {type(exc).__name__}"
             ) from exc
 
-    def _handle(self, operation: str, payload: dict) -> dict:
-        response, session, seq, resource = self._dispatch_prelude(
-            operation, payload
-        )
-        if response is not None:
-            return response
-        was_terminal = session.terminal
-        if operation == "PolicyExchange":
-            response = self.policy_exchange(payload)
-        else:
-            response = self.credential_exchange(payload)
-        self._dispatch_epilogue(
-            session, operation, seq, resource, response, was_terminal
-        )
-        return response
-
-    def _dispatch_prelude(
-        self, operation: str, payload: dict
-    ) -> tuple[Optional[dict], Optional[NegotiationSession],
-               Optional[int], str]:
-        """Everything that happens before a phase operation runs:
-        closed/guard/admission checks, ``StartNegotiation`` handling,
-        session lookup, and replay deduplication.  Returns
-        ``(response, session, seq, resource)`` — with ``response`` set
-        the dispatch is already answered (start or replay); otherwise
-        ``session`` is the live session the phase op should run on.
-        Shared verbatim by the sync and asyncio dispatch paths.
-        """
+    def _handle(self, operation: str, payload: dict):
+        """Closed/guard/admission checks, ``StartNegotiation``, session
+        lookup and replay deduplication, then the phase operation; the
+        response is recorded for replay and the session checkpointed."""
         if self._closed:
             raise TransportError(
                 f"TN service at {self.url!r} is closed",
@@ -527,7 +515,7 @@ class TNWebService:
                 operation, payload, self.transport.clock.elapsed_ms
             )
         if operation == "StartNegotiation":
-            return self.start_negotiation(payload), None, None, ""
+            return self.start_negotiation(payload)
         if operation not in ("PolicyExchange", "CredentialExchange"):
             raise ServiceError(
                 f"unknown TN operation {operation!r}",
@@ -569,26 +557,19 @@ class TNWebService:
                     operation=operation,
                     client_seq=seq,
                 )
-            return response, session, seq, resource
-        return None, session, seq, resource
-
-    def _dispatch_epilogue(
-        self,
-        session: NegotiationSession,
-        operation: str,
-        seq: Optional[int],
-        resource: str,
-        response: dict,
-        was_terminal: bool,
-    ) -> None:
-        """Record the response for replay, checkpoint, and account the
-        terminal transition.  Shared by the sync and asyncio paths."""
+            return response
+        was_terminal = session.terminal
+        if operation == "PolicyExchange":
+            response = yield from self._policy_exchange(session, payload)
+        else:
+            response = yield from self._credential_exchange(session)
         if seq is not None:
             session.responses[seq] = (operation, resource, response)
             session.last_seq = max(session.last_seq, seq)
         self._checkpoint(session)
         if not was_terminal and session.terminal:
             self._track_terminal()
+        return response
 
     def _session(self, payload: dict) -> NegotiationSession:
         session_id = payload.get("negotiationId", "")
@@ -735,18 +716,17 @@ class TNWebService:
             disclosed_by_controller=summary["disclosed_by_controller"],
         )
 
-    def _engine_shortcut(
-        self, session: NegotiationSession, resource: str
-    ) -> Optional[NegotiationResult]:
-        """The engine-free exits shared by both dispatch paths: an
-        already-computed result for the same resource, or a degraded
-        checkpoint outcome when the requester agent is unavailable.
-        Returns ``None`` when the engine genuinely has to run; raises
-        :class:`SessionError` when it can't and nothing is recoverable.
-        """
+    def _run_engine(
+        self, session: NegotiationSession, resource: str, at: Optional[datetime]
+    ):
+        """The session's negotiation result: an already-computed one
+        for the same resource, a degraded checkpoint outcome when the
+        requester agent is gone, a sequence-cache replay, or a
+        :class:`~repro.services.effects.Negotiate` effect."""
         if session.result is not None and session.resource == resource:
             return session.result
-        if session.requester is None:
+        requester = session.requester
+        if requester is None:
             # Restored after a crash and the requester agent is gone:
             # degrade to the checkpointed outcome if one exists.
             degraded = (
@@ -762,48 +742,31 @@ class TNWebService:
                 f"{session.requester_name!r} is unavailable and no "
                 "checkpointed outcome exists"
             )
-        return None
-
-    def _engine_commit(
-        self,
-        session: NegotiationSession,
-        resource: str,
-        at: datetime,
-        result: NegotiationResult,
-    ) -> NegotiationResult:
-        """Record an engine run's outcome on the session."""
+        at = at or session.at or self.transport.clock.now()
+        if requester.strategy is not session.strategy:
+            # Negotiate with a per-call clone carrying the session's
+            # strategy: the requester agent is shared with its other
+            # sessions (and, under asyncio, with sibling tasks).
+            requester = replace(requester, strategy=session.strategy)
+        if self.cache is None:
+            result = yield Negotiate(requester, self.owner, resource, at)
+        else:
+            negotiator = CachingNegotiator(self.cache)
+            result = negotiator.replay_cached(
+                requester, self.owner, resource, at
+            )
+            if result is None:
+                result = yield Negotiate(requester, self.owner, resource, at)
+                negotiator.store_success(result, requester, self.owner)
         session.result = result
         session.resource = resource
         session.at = at
         session.trust_epoch = trust_epoch()
         return result
 
-    def _run_engine(
-        self, session: NegotiationSession, resource: str, at: Optional[datetime]
-    ) -> NegotiationResult:
-        shortcut = self._engine_shortcut(session, resource)
-        if shortcut is not None:
-            return shortcut
-        requester = session.requester
-        at = at or session.at or self.transport.clock.now()
-        previous_strategy = requester.strategy
-        requester.strategy = session.strategy
-        try:
-            if self.cache is not None:
-                result = CachingNegotiator(self.cache).negotiate(
-                    requester, self.owner, resource, at=at
-                )
-            else:
-                engine = NegotiationEngine(requester, self.owner)
-                result = engine.run(resource, at=at)
-        finally:
-            requester.strategy = previous_strategy
-        return self._engine_commit(session, resource, at, result)
-
-    def policy_exchange(self, payload: dict) -> dict:
+    def _policy_exchange(self, session: NegotiationSession, payload: dict):
         """``PolicyExchange`` (paper Section 6.2): run (or bill) the
-        policy-evaluation phase for the session in ``payload``."""
-        session = self._session(payload)
+        policy-evaluation phase for ``session``."""
         with obs_span(
             "tn_service.policy_exchange",
             clock=self.transport.clock,
@@ -811,14 +774,11 @@ class TNWebService:
             resource=payload.get("resource", ""),
         ):
             obs_count("tn_service.operations.policy_exchange")
-            return self._policy_exchange_body(session, payload)
-
-    def _policy_exchange_body(
-        self, session: NegotiationSession, payload: dict
-    ) -> dict:
-        resource = self._policy_resource(payload)
-        result = self._run_engine(session, resource, payload.get("at"))
-        return self._policy_response(session, result)
+            resource = self._policy_resource(payload)
+            result = yield from self._run_engine(
+                session, resource, payload.get("at")
+            )
+            return self._policy_response(session, result)
 
     @staticmethod
     def _policy_resource(payload: dict) -> str:
@@ -833,8 +793,7 @@ class TNWebService:
     def _policy_response(
         self, session: NegotiationSession, result: NegotiationResult
     ) -> dict:
-        """Bill the policy phase (once) and build the response.  Shared
-        by the sync and asyncio dispatch paths."""
+        """Bill the policy phase (once) and build the response."""
         session.phase = "policy"
         if not session.policy_phase_billed:
             # The PolicyExchange call itself is the first protocol
@@ -857,27 +816,23 @@ class TNWebService:
             "policyMessages": result.policy_messages,
         }
 
-    def credential_exchange(self, payload: dict) -> dict:
+    def _credential_exchange(self, session: NegotiationSession):
         """``CredentialExchange`` (paper Section 6.2): run (or bill)
-        the credential-exchange phase for the session in ``payload``."""
-        session = self._session(payload)
+        the credential-exchange phase for ``session``."""
         with obs_span(
             "tn_service.credential_exchange",
             clock=self.transport.clock,
             session=session.session_id,
         ):
             obs_count("tn_service.operations.credential_exchange")
-            return self._credential_exchange_body(session, payload)
-
-    def _credential_exchange_body(
-        self, session: NegotiationSession, payload: dict
-    ) -> dict:
-        if self._credential_needs_resume(session):
-            # Resuming after a crash: the policy phase completed
-            # before the service died; re-derive its result (or
-            # degrade to the checkpoint) without re-billing.
-            self._run_engine(session, session.resource or "", session.at)
-        return self._credential_response(session)
+            if self._credential_needs_resume(session):
+                # Resuming after a crash: the policy phase completed
+                # before the service died; re-derive its result (or
+                # degrade to the checkpoint) without re-billing.
+                yield from self._run_engine(
+                    session, session.resource or "", session.at
+                )
+            return self._credential_response(session)
 
     @staticmethod
     def _credential_needs_resume(session: NegotiationSession) -> bool:
@@ -956,7 +911,7 @@ class TNWebService:
 
     def _credential_response(self, session: NegotiationSession) -> dict:
         """Bill the exchange phase (once), store in the sequence cache,
-        and build the response.  Shared by both dispatch paths."""
+        and build the response."""
         self._recheck_retractions(session)
         result = session.result
         session.phase = "exchange"

@@ -38,7 +38,9 @@ from repro.errors import TransportError
 from repro.perf.caches import NULL_LOCK
 from repro.services.clock import SimClock
 
-__all__ = ["ChargeStats", "LatencyModel", "SimTransport"]
+__all__ = [
+    "ChargeStats", "DelegatingTransport", "LatencyModel", "SimTransport",
+]
 
 #: Context-local clock branches, keyed by ``id(transport)``.  The value
 #: is an immutable mapping copied on write: mutating a dict stored in a
@@ -108,9 +110,8 @@ class SimTransport:
     construction signature.  ``clock`` resolves to the context's branch
     clock inside a :meth:`clock_branch` block and to the shared base
     clock everywhere else, so transport decorators that delegate
-    ``.clock`` by property (:class:`~repro.services.resilience.
-    ResilientTransport`, :class:`~repro.faults.injector.FaultInjector`)
-    pick up the branch transparently.
+    ``.clock`` to it (:class:`DelegatingTransport` subclasses) pick up
+    the branch transparently.
 
     ``single_threaded=True`` elides the charge-counter lock (swapped
     for a no-op): correct only when every charge happens on one thread,
@@ -272,3 +273,68 @@ class SimTransport:
         self.clock.advance(deliveries * self.model.mail_delivery_ms)
         with self._calls_lock:
             self._charges.mail_deliveries += deliveries
+
+
+class DelegatingTransport:
+    """Base for transport decorators over an ``inner`` transport.
+
+    :class:`~repro.services.resilience.ResilientTransport` and
+    :class:`~repro.faults.injector.FaultInjector` wrap a
+    :class:`SimTransport` (or another decorator) and change only how a
+    call is delivered; the clock, the endpoint registry and the cost
+    helpers are the inner transport's, reached through the members
+    defined here.  Subclasses set ``inner``.
+    """
+
+    inner: SimTransport
+
+    @property
+    def clock(self) -> SimClock:
+        return self.inner.clock
+
+    @property
+    def base_clock(self) -> SimClock:
+        return self.inner.base_clock
+
+    def clock_branch(self, source: Optional[SimClock] = None):
+        return self.inner.clock_branch(source)
+
+    @property
+    def model(self) -> LatencyModel:
+        return self.inner.model
+
+    @property
+    def calls(self) -> int:
+        return self.inner.calls
+
+    @property
+    def charges(self) -> ChargeStats:
+        return self.inner.charges
+
+    def bind(self, url: str, handler: Callable[[str, dict], dict]) -> None:
+        self.inner.bind(url, handler)
+
+    def unbind(self, url: str) -> None:
+        self.inner.unbind(url)
+
+    def is_bound(self, url: str) -> bool:
+        return self.inner.is_bound(url)
+
+    def endpoints(self) -> list[str]:
+        return self.inner.endpoints()
+
+    def charge_messages(self, count: int) -> None:
+        self.inner.charge_messages(count)
+
+    def charge_db(self, reads: int = 0, writes: int = 0,
+                  connect: bool = False) -> None:
+        self.inner.charge_db(reads=reads, writes=writes, connect=connect)
+
+    def charge_crypto(self, signs: int = 0, verifies: int = 0) -> None:
+        self.inner.charge_crypto(signs=signs, verifies=verifies)
+
+    def charge_ui(self, interactions: int = 1) -> None:
+        self.inner.charge_ui(interactions)
+
+    def charge_mail(self, deliveries: int = 1) -> None:
+        self.inner.charge_mail(deliveries)

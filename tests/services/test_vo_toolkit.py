@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import MembershipError
+from repro.negotiation.outcomes import FailureReason
 from repro.scenario import build_aircraft_scenario
 from repro.scenario.aircraft import (
     ROLE_DESIGN_PORTAL,
@@ -157,3 +158,41 @@ class TestDiscovery:
         services = edition.discover(ROLE_OPTIMIZATION)
         assert [s.provider for s in services] == ["OptimCo"]
         assert scenario.transport.clock.elapsed_ms > before
+
+
+class TestTrustNegotiationRestart:
+    @pytest.fixture()
+    def crashed(self, scenario):
+        edition = scenario.initiator_edition
+        edition.create_vo(scenario.contract)
+        service = edition.enable_trust_negotiation()
+        service.crash()
+        return scenario, edition
+
+    def test_join_after_crash_is_unreachable(self, crashed):
+        scenario, edition = crashed
+        outcome = edition.execute_join(
+            scenario.app("AerospaceCo"), ROLE_DESIGN_PORTAL,
+            with_negotiation=True,
+        )
+        assert not outcome.joined
+        assert outcome.negotiation.failure_reason is (
+            FailureReason.UNREACHABLE
+        )
+
+    def test_restart_revives_the_tn_join(self, crashed):
+        scenario, edition = crashed
+        service = edition.restart_trust_negotiation()
+        assert not service.closed
+        outcome = edition.execute_join(
+            scenario.app("AerospaceCo"), ROLE_DESIGN_PORTAL,
+            with_negotiation=True,
+        )
+        assert outcome.joined
+        assert outcome.negotiation.success
+
+    def test_restart_before_enable_rejected(self, scenario):
+        edition = scenario.initiator_edition
+        edition.create_vo(scenario.contract)
+        with pytest.raises(MembershipError):
+            edition.restart_trust_negotiation()
