@@ -11,7 +11,7 @@ that itself holds an accreditation credential from a root authority.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.credentials.credential import Credential
 from repro.crypto.keys import Keyring
@@ -39,9 +39,6 @@ class CredentialChain:
 
     def __len__(self) -> int:
         return 1 + len(self.links)
-
-    def all_credentials(self) -> Sequence[Credential]:
-        return (self.leaf, *self.links)
 
     def validate_structure(self) -> None:
         """Check issuer/subject continuity of the chain."""

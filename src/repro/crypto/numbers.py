@@ -11,6 +11,7 @@ __all__ = [
     "generate_prime",
     "modular_inverse",
     "SMALL_PRIMES",
+    "RANDOM_CANDIDATE_ROUNDS",
 ]
 
 # Primes below 1000, used as a cheap trial-division sieve before the
@@ -28,6 +29,18 @@ SMALL_PRIMES: tuple[int, ...] = (
     743, 751, 757, 761, 769, 773, 787, 797, 809, 811, 821, 823, 827, 829,
     839, 853, 857, 859, 863, 877, 881, 883, 887, 907, 911, 919, 929, 937,
     941, 947, 953, 967, 971, 977, 983, 991, 997,
+)
+
+
+#: Miller-Rabin rounds for a *random* candidate of at least the given
+#: size in bits, largest size first.  A uniformly random odd k-bit
+#: integer is far less likely to fool Miller-Rabin than a chosen one:
+#: the Damgard-Landrock-Pomerance bound behind FIPS 186-4 Appendix C.3
+#: puts the chance that a composite passes every round at 2^-100 or
+#: less with these counts.  Smaller sizes keep 40 rounds.
+RANDOM_CANDIDATE_ROUNDS: tuple[tuple[int, int], ...] = (
+    (2048, 2), (1536, 3), (1024, 4), (768, 5),
+    (512, 8), (384, 11), (256, 17), (160, 24),
 )
 
 
@@ -76,15 +89,20 @@ def generate_prime(bits: int) -> int:
     ``bits'``-bit prime always has ``bits + bits'`` bits (each prime is
     at least ``1.5 * 2^(bits-1)``, above FIPS 186-4 B.3.1's
     ``sqrt(2) * 2^(bits-1)`` bound) and RSA key generation never throws
-    a pair away for a short modulus.
+    a pair away for a short modulus.  Candidates are random, so the
+    Miller-Rabin round count comes from :data:`RANDOM_CANDIDATE_ROUNDS`.
     """
     if bits < 8:
         raise CryptoError(f"prime size too small: {bits} bits")
+    rounds = next(
+        (count for size, count in RANDOM_CANDIDATE_ROUNDS if bits >= size),
+        40,
+    )
     while True:
         candidate = secrets.randbits(bits)
         # Force the top two bits and oddness.
         candidate |= (3 << (bits - 2)) | 1
-        if is_probable_prime(candidate):
+        if is_probable_prime(candidate, rounds):
             return candidate
 
 

@@ -228,14 +228,6 @@ class NegotiationError(ReproError):
     """Base class for trust-negotiation failures."""
 
 
-class NegotiationFailure(NegotiationError):
-    """The negotiation terminated without establishing trust."""
-
-
-class ProtocolError(NegotiationError):
-    """A party violated the negotiation protocol."""
-
-
 class StrategyError(NegotiationError):
     """A strategy constraint was violated (e.g. X.509 with suspicious)."""
 

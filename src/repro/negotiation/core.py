@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime
+from operator import attrgetter
 from typing import Any, Generator, Optional
 
 from repro.errors import CredentialRevokedError, StrategyError
@@ -40,11 +41,7 @@ from repro.obs import (
     observe as obs_observe,
     span as obs_span,
 )
-from repro.negotiation.outcomes import (
-    FailureReason,
-    NegotiationResult,
-    TranscriptEvent,
-)
+from repro.negotiation.outcomes import FailureReason, NegotiationResult
 from repro.negotiation.sequence import TrustSequence
 from repro.negotiation.tree import NegotiationTree, NodeStatus, TreeNode
 from repro.trust import trust_epoch
@@ -136,6 +133,9 @@ def drive(
             exc = error
 
 
+_depth = attrgetter("depth")
+
+
 def record_outcome_obs(resource: str, result: NegotiationResult) -> None:
     """Record the per-negotiation counters every driver shares."""
     obs_count("negotiation.runs")
@@ -150,7 +150,7 @@ def record_outcome_obs(resource: str, result: NegotiationResult) -> None:
         obs_observe("negotiation.tree_nodes", len(result.tree))
         obs_observe(
             "negotiation.tree_depth",
-            max((node.depth for node in result.tree.nodes()), default=0),
+            max(map(_depth, result.tree.nodes()), default=0),
         )
     if not result.success:
         obs_event(
@@ -189,7 +189,8 @@ class NegotiationCore:
         return self.controller if party == self.requester else self.requester
 
     def _log(self, phase: str, actor: str, action: str, detail: str = "") -> None:
-        self.transcript.append(TranscriptEvent(phase, actor, action, detail))
+        # A plain tuple of strings, which the GC untracks (TranscriptRow).
+        self.transcript.append((phase, actor, action, detail))
 
     # ------------------------------------------------------------------ run --
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -12,6 +12,7 @@ __all__ = [
     "FailureReason",
     "UNSATISFIABLE_REASONS",
     "TranscriptEvent",
+    "TranscriptRow",
     "NegotiationResult",
 ]
 
@@ -71,6 +72,14 @@ class TranscriptEvent:
     detail: str = ""
 
 
+#: How a result stores one transcript step: ``(phase, actor, action,
+#: detail)``, all strings.  CPython's cyclic garbage collector untracks
+#: an *exact* tuple holding only atomic values (a ``NamedTuple`` or a
+#: dataclass stays tracked), so the hundreds of steps of a stored
+#: many-alternative negotiation cost every later collection nothing.
+TranscriptRow = tuple[str, str, str, str]
+
+
 @dataclass
 class NegotiationResult:
     """Outcome of one trust negotiation."""
@@ -85,7 +94,11 @@ class NegotiationResult:
     #: Nodes in the order their credentials were disclosed (the trust
     #: sequence actually executed); the root resource is last.
     sequence: tuple[TreeNode, ...] = ()
-    transcript: tuple[TranscriptEvent, ...] = ()
+    #: The steps as ``TranscriptEvent``s or as ``TranscriptRow``s; kept
+    #: as rows in ``transcript_rows`` and read back as events through
+    #: the ``transcript`` property.
+    transcript: InitVar[tuple] = ()
+    transcript_rows: tuple[TranscriptRow, ...] = field(init=False)
     #: Message counts, split by phase — the cost measure trust
     #: negotiation papers report ("with a relatively small number of
     #: messages", Section 1).
@@ -94,6 +107,13 @@ class NegotiationResult:
     #: Credentials disclosed by each side (ids), for privacy accounting.
     disclosed_by_requester: tuple[str, ...] = ()
     disclosed_by_controller: tuple[str, ...] = ()
+
+    def __post_init__(self, transcript: tuple) -> None:
+        self.transcript_rows = tuple(
+            step if type(step) is tuple
+            else (step.phase, step.actor, step.action, step.detail)
+            for step in transcript
+        )
 
     @property
     def total_messages(self) -> int:
@@ -126,12 +146,12 @@ class NegotiationResult:
             "disclosedByController": list(self.disclosed_by_controller),
             "transcript": [
                 {
-                    "phase": event.phase,
-                    "actor": event.actor,
-                    "action": event.action,
-                    "detail": event.detail,
+                    "phase": phase,
+                    "actor": actor,
+                    "action": action,
+                    "detail": detail,
                 }
-                for event in self.transcript
+                for phase, actor, action, detail in self.transcript_rows
             ],
         }
 
@@ -154,3 +174,13 @@ class NegotiationResult:
             f"{self.resource!r} from {self.controller}"
             + (f" — {self.failure_detail}" if self.failure_detail else "")
         )
+
+
+def _transcript(result: NegotiationResult) -> tuple[TranscriptEvent, ...]:
+    """The negotiation's steps, in order."""
+    return tuple(TranscriptEvent(*row) for row in result.transcript_rows)
+
+
+# Set after the class body: there the name is the ``InitVar`` that lets
+# every constructor keep passing ``transcript=``.
+NegotiationResult.transcript = property(_transcript)

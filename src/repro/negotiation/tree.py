@@ -57,7 +57,7 @@ class EdgeKind(Enum):
     MULTI = "multi"
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """One term (or the root resource) of the negotiation tree."""
 
@@ -142,20 +142,13 @@ class NegotiationTree:
         self._edges: dict[int, PolicyEdge] = {}
         self._edges_by_parent: dict[int, list[int]] = {}
         self._parent_of: dict[int, int] = {}
-        self.root_id = self._add_node(
-            owner=controller, label=resource, term=None, depth=0
+        self.root_id = next(self._ids)
+        self._nodes[self.root_id] = TreeNode(
+            node_id=self.root_id, owner=controller, label=resource,
+            term=None, depth=0,
         )
 
     # -- construction -----------------------------------------------------------
-
-    def _add_node(
-        self, owner: str, label: str, term: Optional[Term], depth: int
-    ) -> int:
-        node_id = next(self._ids)
-        self._nodes[node_id] = TreeNode(
-            node_id=node_id, owner=owner, label=label, term=term, depth=depth
-        )
-        return node_id
 
     def add_policy_edge(
         self, parent_id: int, policy: DisclosurePolicy, child_owner: str
@@ -166,27 +159,26 @@ class NegotiationTree:
         (the counterpart of the parent's owner), linked together as a
         multiedge when the rule has several terms.
         """
-        parent = self.node(parent_id)
-        children = tuple(
-            self._add_node(
-                owner=child_owner,
-                label=term.name,
-                term=term,
-                depth=parent.depth + 1,
-            )
-            for term in policy.terms
-        )
-        if not children:
+        depth = self.node(parent_id).depth + 1
+        if not policy.terms:
             raise NegotiationError(
                 f"policy {policy.policy_id} has no terms to expand "
                 f"(delivery rules mark nodes DELIVERABLE instead)"
             )
+        nodes = self._nodes
+        parent_of = self._parent_of
+        children = []
+        for term in policy.terms:
+            node_id = next(self._ids)
+            nodes[node_id] = TreeNode(
+                node_id, child_owner, term.name, term, depth
+            )
+            parent_of[node_id] = parent_id
+            children.append(node_id)
         edge_id = next(self._edge_ids)
-        edge = PolicyEdge(edge_id, parent_id, children, policy)
+        edge = PolicyEdge(edge_id, parent_id, tuple(children), policy)
         self._edges[edge_id] = edge
         self._edges_by_parent.setdefault(parent_id, []).append(edge_id)
-        for child in children:
-            self._parent_of[child] = parent_id
         return edge
 
     # -- access -------------------------------------------------------------------
@@ -248,25 +240,28 @@ class NegotiationTree:
         one outgoing edge has *all* children satisfiable ("nodes
         belonging to a multiedge are considered as a whole").  Returns
         True when the root is satisfiable.
+
+        A child's id is always larger than its parent's (ids come from
+        one counter and children are created after their parent), so
+        visiting the expanded nodes in reverse id order settles every
+        child before its parent: one pass reaches the fixed point.
         """
-        changed = True
-        passes = 0
-        while changed:
-            changed = False
-            passes += 1
-            for node in self._nodes.values():
-                if node.status in (NodeStatus.DELIVERABLE, NodeStatus.UNSATISFIABLE):
-                    continue
-                for edge in self.edges_from(node.node_id):
-                    children = [self.node(child) for child in edge.children]
-                    if all(child.status.is_satisfiable for child in children):
-                        if node.status is not NodeStatus.SATISFIABLE:
-                            node.status = NodeStatus.SATISFIABLE
-                            changed = True
-                        break
+        nodes = self._nodes
+        edges = self._edges
+        final = (NodeStatus.DELIVERABLE, NodeStatus.UNSATISFIABLE)
+        for node_id in sorted(self._edges_by_parent, reverse=True):
+            node = nodes[node_id]
+            if node.status in final:
+                continue
+            for edge_id in self._edges_by_parent[node_id]:
+                if all(
+                    nodes[child].status.is_satisfiable
+                    for child in edges[edge_id].children
+                ):
+                    node.status = NodeStatus.SATISFIABLE
+                    break
         if obs_enabled():
-            obs_observe("tree.propagate_passes", passes)
-            obs_observe("tree.nodes", len(self._nodes))
+            obs_observe("tree.nodes", len(nodes))
         return self.root.status.is_satisfiable
 
     def satisfiable_edges(self, node_id: int) -> list[PolicyEdge]:

@@ -190,10 +190,6 @@ class MetricsRegistry:
         with self._lock:
             self._collectors[name] = collect
 
-    def unregister_collector(self, name: str) -> None:
-        with self._lock:
-            self._collectors.pop(name, None)
-
     # -- snapshot ---------------------------------------------------------------------
 
     def snapshot(self) -> dict:

@@ -1,9 +1,13 @@
 """Number-theoretic primitives."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import numbers
 from repro.crypto.numbers import (
+    RANDOM_CANDIDATE_ROUNDS,
     SMALL_PRIMES,
     generate_prime,
     is_probable_prime,
@@ -47,6 +51,71 @@ class TestGeneratePrime:
     def test_too_small_raises(self):
         with pytest.raises(CryptoError):
             generate_prime(4)
+
+
+def _log2_dlp_bound(k: int, t: int) -> float:
+    """log2 of the Damgard-Landrock-Pomerance bound on the chance that
+    a random odd k-bit composite passes t Miller-Rabin rounds (Menezes
+    et al., Handbook of Applied Cryptography, Fact 4.48)."""
+    bounds = []
+    if t == 1:
+        bounds.append(2 * math.log2(k) + 2 * (2 - math.sqrt(k)))
+    if (t == 2 and k >= 88) or 3 <= t <= k / 9:
+        bounds.append(
+            1.5 * math.log2(k) + t - 0.5 * math.log2(t)
+            + 2 * (2 - math.sqrt(t * k))
+        )
+    if k / 9 <= t <= k / 4:
+        bounds.append(math.log2(
+            7 / 20 * k * 2.0 ** (-5 * t)
+            + 1 / 7 * k ** 3.75 * 2.0 ** (-k / 2 - 2 * t)
+            + 12 * k * 2.0 ** (-k / 4 - 3 * t)
+        ))
+    if t >= k / 4:
+        bounds.append(math.log2(1 / 7 * k ** 3.75) - k / 2 - 2 * t)
+    return min(bounds, default=0.0)
+
+
+def _min_rounds(k: int, log2_error: int) -> int:
+    return next(
+        t for t in range(1, 100) if _log2_dlp_bound(k, t) <= log2_error
+    )
+
+
+class TestRandomCandidateRounds:
+    def test_table_is_pinned(self):
+        assert RANDOM_CANDIDATE_ROUNDS == (
+            (2048, 2), (1536, 3), (1024, 4), (768, 5),
+            (512, 8), (384, 11), (256, 17), (160, 24),
+        )
+
+    def test_bound_reproduces_the_published_2_pow_80_table(self):
+        # Handbook of Applied Cryptography, Table 4.4.
+        published = {100: 27, 150: 18, 200: 15, 250: 12, 300: 9, 350: 8,
+                     400: 7, 450: 6, 550: 5, 650: 4, 850: 3, 1300: 2}
+        assert {k: _min_rounds(k, -80) for k in published} == published
+
+    def test_every_size_reaches_2_pow_minus_100(self):
+        upper = 4096
+        for size, rounds in RANDOM_CANDIDATE_ROUNDS:
+            assert rounds == max(
+                _min_rounds(k, -100) for k in range(size, upper)
+            ), size
+            upper = size
+
+    def test_generate_prime_uses_the_table(self, monkeypatch):
+        seen = []
+        real = numbers.is_probable_prime
+
+        def spy(candidate, rounds=40):
+            seen.append(rounds)
+            return real(candidate, rounds)
+
+        monkeypatch.setattr(numbers, "is_probable_prime", spy)
+        for bits, rounds in ((256, 17), (512, 8), (64, 40)):
+            seen.clear()
+            assert generate_prime(bits).bit_length() == bits
+            assert set(seen) == {rounds}
 
 
 class TestModularInverse:
