@@ -9,8 +9,9 @@ Two measurements behind the ``repro.obs`` layer, reported to
    instrumentation site) versus fully enabled (spans + metrics +
    events recording).  Enabled must stay within 10% of disabled
    (25% under ``BENCH_QUICK=1``, where the sample is too small to
-   gate tightly).  Each mode is timed in alternating rounds and the
-   per-mode minimum is kept, which discards scheduler noise.
+   gate tightly).  Every round times both modes, alternating which
+   goes first, and the per-mode minimum is kept, which discards
+   scheduler noise without favouring the mode that always ran first.
 
 2. **Trace artifact**: an instrumented parallel formation whose
    merged trace is validated (one root, no orphans) and written to
@@ -75,11 +76,16 @@ def test_bench_obs_overhead():
 
     disabled = []
     enabled = []
-    for _ in range(ROUNDS):
-        obs.disable()
-        disabled.append(_timed_negotiations(fixture))
-        obs.enable()
-        enabled.append(_timed_negotiations(fixture))
+    for round_index in range(ROUNDS):
+        # disabled first in even rounds, enabled first in odd ones
+        for obs_on in ((False, True) if round_index % 2 == 0
+                       else (True, False)):
+            if obs_on:
+                obs.enable()
+                enabled.append(_timed_negotiations(fixture))
+            else:
+                obs.disable()
+                disabled.append(_timed_negotiations(fixture))
     span_count = len(obs.spans())
     obs.disable()
 

@@ -131,7 +131,8 @@ class SequenceCache:
         records the ``(issuer, serial)`` provenance of each disclosed
         credential, making it evictable by a retraction event.
         """
-        if not result.success or result.tree is None:
+        if not result.success or not result.sequence:
+            # replayed and checkpoint-degraded results carry no sequence
             return None
         steps = []
         for node in result.sequence:

@@ -37,12 +37,16 @@ from typing import Any, Optional
 
 __all__ = ["Span", "NullSpan", "NULL_SPAN", "Tracer"]
 
-#: Context-local span stacks, keyed by ``id(tracer)``.  Values are
-#: immutable tuples and the mapping is copied on write, so a set in one
-#: context can never mutate a sibling context's view.  One module-level
+#: Context-local open spans of every tracer, innermost first: a linked
+#: list of immutable ``(span, outer)`` pairs ending in ``None``.
+#: Entering a span conses one pair onto it and a balanced exit restores
+#: the outer list, so neither copies anything, and a set in one context
+#: can never change a sibling context's view.  One module-level
 #: ContextVar (instead of one per tracer) keeps the ContextVar
 #: population bounded.
-_SPAN_STACKS: ContextVar[dict] = ContextVar("tracer_span_stacks", default={})
+_OPEN_SPANS: ContextVar[Optional[tuple]] = ContextVar(
+    "tracer_open_spans", default=None
+)
 
 
 class Span:
@@ -171,32 +175,35 @@ class Tracer:
 
     # -- the context-local span stack -------------------------------------------------
 
-    def _stack(self) -> tuple:
-        return _SPAN_STACKS.get().get(id(self), ())
-
-    def _set_stack(self, stack: tuple) -> None:
-        stacks = dict(_SPAN_STACKS.get())
-        if stack:
-            stacks[id(self)] = stack
-        else:
-            stacks.pop(id(self), None)
-        _SPAN_STACKS.set(stacks)
-
     def current(self) -> Optional[Span]:
-        """The innermost open span in *this* context, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
+        """The innermost open span of this tracer in *this* context."""
+        node = _OPEN_SPANS.get()
+        while node is not None:
+            if node[0]._tracer is self:
+                return node[0]
+            node = node[1]
+        return None
 
     def _push(self, span: Span) -> None:
-        self._set_stack(self._stack() + (span,))
+        _OPEN_SPANS.set((span, _OPEN_SPANS.get()))
 
     def _pop(self, span: Span) -> None:
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            self._set_stack(stack[:-1])
-        elif span in stack:  # unbalanced exit: drop it wherever it is
-            index = max(i for i, open_ in enumerate(stack) if open_ is span)
-            self._set_stack(stack[:index] + stack[index + 1:])
+        node = _OPEN_SPANS.get()
+        if node is not None and node[0] is span:
+            _OPEN_SPANS.set(node[1])
+        else:
+            # unbalanced exit, or another tracer's span still open
+            # inside this one: drop it wherever it is, keeping the
+            # spans above it
+            above = []
+            while node is not None and node[0] is not span:
+                above.append(node[0])
+                node = node[1]
+            if node is not None:
+                node = node[1]
+                for open_ in reversed(above):
+                    node = (open_, node)
+                _OPEN_SPANS.set(node)
         with self._lock:
             self._finished.append(span)
 
@@ -217,17 +224,18 @@ class Tracer:
         """
         if parent is None:
             parent = self.current()
-        if parent is not None and not isinstance(parent, NullSpan):
+        root = parent is None or isinstance(parent, NullSpan)
+        with self._lock:
+            if root:
+                trace_id = f"trace-{next(self._trace_ids)}"
+            span_id = next(self._span_ids)
+        if root:
+            parent_id = None
+        else:
             trace_id = parent.trace_id
             parent_id = parent.span_id
             if clock is None:
                 clock = parent._clock
-        else:
-            with self._lock:
-                trace_id = f"trace-{next(self._trace_ids)}"
-            parent_id = None
-        with self._lock:
-            span_id = next(self._span_ids)
         return Span(
             self, trace_id, span_id, parent_id, name, clock,
             attrs if attrs is not None else {},

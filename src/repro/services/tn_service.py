@@ -56,6 +56,7 @@ Resilience (this module's additions for partial failure):
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field, replace
 from datetime import datetime
@@ -911,7 +912,13 @@ class TNWebService:
 
     def _credential_response(self, session: NegotiationSession) -> dict:
         """Bill the exchange phase (once), store in the sequence cache,
-        and build the response."""
+        and build the response.
+
+        The result served is tree-less: once the sequence cache has
+        read the negotiation tree, the session keeps (and every repeat
+        of this call returns) one copy without it, so a served session
+        does not hold its tree's nodes and edges for the service's
+        lifetime.  ``sequence`` and the transcript stay."""
         self._recheck_retractions(session)
         result = session.result
         session.phase = "exchange"
@@ -932,6 +939,11 @@ class TNWebService:
             if session.requester is not None:
                 agents[session.requester.name] = session.requester
             self.cache.store(result, agents=agents)
+        if result.tree is not None:
+            # a shallow copy shares the transcript rows as they are;
+            # dataclasses.replace would rebuild them through __post_init__
+            result = session.result = copy.copy(result)
+            result.tree = None
         return {
             "negotiationId": session.session_id,
             "success": result.success,

@@ -24,9 +24,11 @@ four methods.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from abc import ABC, abstractmethod
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Optional
 from xml.etree import ElementTree as ET
 
@@ -114,28 +116,47 @@ def _record_crc(lsn: int, session_id: str, xml: str) -> str:
     return digest.hexdigest()[:16]
 
 
+def _record_line(lsn: int, session_id: str, xml: str) -> bytes:
+    """One journal line: the bytes ``json.dumps(record, sort_keys=True)``
+    plus a newline would give, written out for the record's four fixed
+    keys."""
+    return (
+        f'{{"crc": "{_record_crc(lsn, session_id, xml)}", "lsn": {lsn}, '
+        f'"session": {_json_string(session_id)}, '
+        f'"xml": {_json_string(xml)}}}\n'
+    ).encode("utf-8")
+
+
 class WALSessionStore(SessionStore):
     """Append-only JSONL write-ahead log.
 
     One record per line::
 
-        {"lsn": 7, "session": "tn-3", "xml": "<negotiationSession .../>",
-         "crc": "9f2c..."}
+        {"crc": "9f2c...", "lsn": 7, "session": "tn-3",
+         "xml": "<negotiationSession .../>"}
 
     Opening an existing file replays it: every intact record is kept,
     and a damaged *final* record (truncated line, invalid JSON, or crc
     mismatch) is discarded and physically truncated away — the append
     it belonged to never committed.  Damage anywhere before the final
     record is not a torn write and raises :class:`StorageError`.
+
+    Appends go through one unbuffered handle, opened on the first
+    append (a store that is only read never opens one) and released by
+    :meth:`close`.  In memory the store keeps only the latest record's
+    XML per session; LSNs run gap-free from 1, so the record count is
+    the last LSN.  The log is not ``fsync``-ed: it survives a process
+    crash, not an operating-system crash.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = os.fspath(path)
         self.name = f"wal:{os.path.basename(self.path)}"
         self.torn_discarded = 0
-        self._records: list[tuple[int, str, str]] = []  # (lsn, sid, xml)
+        self._latest: dict[str, str] = {}  # session id -> latest xml
         self._lsn = 0
         self._committed_bytes = 0  # file offset past the last intact record
+        self._handle: Optional[io.FileIO] = None
         self._recover()
 
     # -- recovery -----------------------------------------------------------------
@@ -143,42 +164,51 @@ class WALSessionStore(SessionStore):
     def _recover(self) -> None:
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r", encoding="utf-8") as handle:
+        with open(self.path, "rb") as handle:
             raw = handle.read()
-        lines = raw.split("\n")
+        if self._replay(raw):
+            self.torn_discarded += 1
+        if self._committed_bytes != len(raw):
+            # drop the torn tail so later appends start on a clean line
+            with open(self.path, "r+b") as handle:
+                handle.truncate(self._committed_bytes)
+
+    def _replay(self, raw: bytes) -> bool:
+        """Rebuild the in-memory view from the journal bytes ``raw``:
+        every intact record up to the first damaged one, which must be
+        the final record.  Returns whether a damaged record was found."""
+        self._latest = {}
+        self._lsn = 0
+        lines = raw.split(b"\n")
         # a fully committed file ends with a newline, so the final split
         # element is empty; anything else is a torn tail candidate
         good_bytes = 0
         for lineno, line in enumerate(lines):
-            if line == "":
+            if not line:
                 continue
             record = self._parse_record(line)
-            is_last = all(rest == "" for rest in lines[lineno + 1:])
             if record is None:
-                if not is_last:
+                if any(lines[lineno + 1:]):
                     raise StorageError(
                         f"WAL {self.path!r} corrupt at record "
                         f"{lineno + 1} (not the final record)"
                     )
-                self.torn_discarded += 1
-                break
+                self._committed_bytes = good_bytes
+                return True
             lsn, session_id, xml = record
             if lsn != self._lsn + 1:
                 raise StorageError(
                     f"WAL {self.path!r} LSN gap: expected "
                     f"{self._lsn + 1}, found {lsn}"
                 )
-            self._records.append(record)
+            self._latest[session_id] = xml
             self._lsn = lsn
-            good_bytes += len(line.encode("utf-8")) + 1
+            good_bytes += len(line) + 1
         self._committed_bytes = good_bytes
-        if good_bytes != len(raw.encode("utf-8")):
-            # drop the torn tail so later appends start on a clean line
-            with open(self.path, "r+", encoding="utf-8") as handle:
-                handle.truncate(good_bytes)
+        return False
 
     @staticmethod
-    def _parse_record(line: str) -> Optional[tuple[int, str, str]]:
+    def _parse_record(line: bytes) -> Optional[tuple[int, str, str]]:
         try:
             payload = json.loads(line)
         except (ValueError, TypeError):
@@ -203,27 +233,28 @@ class WALSessionStore(SessionStore):
     def append(self, session_id: str, element: ET.Element) -> None:
         xml = canonicalize(element)
         lsn = self._lsn + 1
-        record = {
-            "lsn": lsn,
-            "session": session_id,
-            "xml": xml,
-            "crc": _record_crc(lsn, session_id, xml),
-        }
-        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        # write at the committed offset, not the file end: a torn tail
-        # left by a simulated power loss is overwritten, never extended
-        mode = "r+b" if os.path.exists(self.path) else "wb"
-        with open(self.path, mode) as handle:
+        data = _record_line(lsn, session_id, xml)
+        handle = self._handle
+        if handle is None:
+            # write at the committed offset, not the file end: a torn
+            # tail left by a simulated power loss is overwritten, never
+            # extended
+            handle = self._handle = open(
+                self.path, "r+b" if os.path.exists(self.path) else "wb",
+                buffering=0,
+            )
             handle.truncate(self._committed_bytes)
             handle.seek(self._committed_bytes)
-            handle.write(data)
+        view = memoryview(data)
+        while view:
+            view = view[handle.write(view):]
         self._committed_bytes += len(data)
-        self._records.append((lsn, session_id, xml))
+        self._latest[session_id] = xml
         self._lsn = lsn
 
     def latest(self) -> dict[str, ET.Element]:
         state: dict[str, ET.Element] = {}
-        for _, session_id, xml in self._records:
+        for session_id, xml in self._latest.items():
             try:
                 state[session_id] = parse_xml(xml)
             except XMLError as exc:  # crc guarantees this is unreachable
@@ -234,28 +265,32 @@ class WALSessionStore(SessionStore):
         return state
 
     def records(self) -> int:
-        return len(self._records)
+        return self._lsn
 
     @property
     def last_lsn(self) -> int:
         return self._lsn
 
+    def close(self) -> None:
+        """Release the append handle; the next append reopens it."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
     def tear_last_record(self) -> bool:
-        """Chop the final record mid-line, as a power loss during the
-        append would.  The in-memory view rewinds to match what a
-        recovering reader will see."""
-        if not self._records or not os.path.exists(self.path):
+        """Chop the final committed record mid-line, as a power loss
+        during the append would.  The in-memory view rewinds to match
+        what a recovering reader will see: the committed prefix before
+        the torn record is replayed, and the torn bytes stay on disk
+        for the next append (or reopen) to cut away.  Tearing again
+        with no append in between tears the record before."""
+        if not self._lsn:
             return False
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        # strip the trailing newline, then cut the last line in half
-        body = data[:-1] if data.endswith(b"\n") else data
-        cut = body.rfind(b"\n") + 1  # start of the final record
-        torn_at = cut + max(1, (len(body) - cut) // 2)
+        self.close()
         with open(self.path, "r+b") as handle:
-            handle.truncate(torn_at)
-        self._records.pop()
-        self._lsn = max((lsn for lsn, _, _ in self._records), default=0)
-        self._committed_bytes = cut
+            committed = handle.read(self._committed_bytes)
+            cut = committed.rfind(b"\n", 0, -1) + 1  # start of the final record
+            handle.truncate(cut + max(1, (len(committed) - 1 - cut) // 2))
+        self._replay(committed[:cut])
         self.torn_discarded += 1
         return True

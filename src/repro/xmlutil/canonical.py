@@ -44,37 +44,41 @@ def _escape_attr(text: str) -> str:
     return _escape_text(text).replace('"', "&quot;")
 
 
-def _is_structural(element: ET.Element) -> bool:
-    """True when the element only exists to hold child elements."""
-    has_children = len(element) > 0
-    text_blank = element.text is None or not element.text.strip()
-    return has_children and text_blank
-
-
 def _write(element: ET.Element, parts: list[str]) -> None:
     tag = element.tag
     if not isinstance(tag, str):
         # Comments and processing instructions are not part of the
         # canonical form.
         return
-    parts.append(f"<{tag}")
-    for name in sorted(element.attrib):
-        parts.append(f' {name}="{_escape_attr(element.attrib[name])}"')
-    children = list(element)
-    text = element.text or ""
-    if not children and not text:
-        parts.append(f"></{tag}>")
+    parts.append("<" + tag)
+    attrib = element.attrib
+    if attrib:
+        values = "".join(attrib.values())
+        if "&" in values or "<" in values or ">" in values or '"' in values:
+            for name, value in sorted(attrib.items()):
+                parts.append(f' {name}="{_escape_attr(value)}"')
+        else:
+            # the common case (ids, phases, numbers): one scan of all
+            # the values instead of escaping each one
+            for name, value in sorted(attrib.items()):
+                parts.append(f' {name}="{value}"')
+    text = element.text
+    if not len(element):
+        if text:
+            parts.append(f">{_escape_text(text.strip())}</{tag}>")
+        else:
+            parts.append(f"></{tag}>")
         return
     parts.append(">")
-    if text:
-        if _is_structural(element):
-            pass  # drop indentation-only whitespace
-        else:
-            parts.append(_escape_text(text.strip()))
-    for child in children:
+    if text and text.strip():
+        # text beside child elements is kept; indentation-only
+        # whitespace of a structural element is dropped
+        parts.append(_escape_text(text.strip()))
+    for child in element:
         _write(child, parts)
-        if child.tail and child.tail.strip():
-            parts.append(_escape_text(child.tail.strip()))
+        tail = child.tail
+        if tail and tail.strip():
+            parts.append(_escape_text(tail.strip()))
     parts.append(f"</{tag}>")
 
 

@@ -71,6 +71,53 @@ class TestTracer:
         assert spans["worker"].parent_id is None
         assert spans["worker"].trace_id != main_span.trace_id
 
+    def test_tracers_keep_separate_stacks(self):
+        first, second = Tracer(), Tracer()
+        with first.span("a-root") as a_root:
+            with second.span("b-root") as b_root:
+                with first.span("a-child") as a_child:
+                    assert second.current() is b_root
+                # exits out of order across tracers: b-root closes while
+                # first's a-root is still open beneath it
+            assert first.current() is a_root
+            assert second.current() is None
+        assert a_child.parent_id == a_root.span_id
+        assert b_root.parent_id is None
+        assert first.current() is None
+
+    def test_unbalanced_exit_drops_only_that_span(self):
+        tracer = Tracer()
+        outer = tracer.span("outer")
+        inner = tracer.span("inner")
+        outer.__enter__()
+        inner.__enter__()
+        outer.__exit__(None, None, None)  # closed while inner is open
+        assert tracer.current() is inner
+        inner.__exit__(None, None, None)
+        assert tracer.current() is None
+        assert [s.name for s in tracer.spans()] == ["outer", "inner"]
+
+    def test_asyncio_tasks_nest_under_creator_without_leaking(self):
+        import asyncio
+
+        tracer = Tracer()
+
+        async def child(name):
+            with tracer.span(name) as span:
+                await asyncio.sleep(0)
+                assert tracer.current() is span
+            return span
+
+        async def main():
+            with tracer.span("root") as root:
+                spans = await asyncio.gather(child("x"), child("y"))
+                assert tracer.current() is root
+            return root, spans
+
+        root, (x, y) = asyncio.run(main())
+        assert x.parent_id == y.parent_id == root.span_id
+        assert tracer.current() is None
+
     def test_max_spans_bounds_retention(self):
         tracer = Tracer(max_spans=2)
         for index in range(5):

@@ -6,6 +6,8 @@ import pytest
 
 from repro.errors import ErrorCode, ServiceError
 from repro.hardening.config import HardeningConfig
+from repro.negotiation.cache import SequenceCache
+from repro.negotiation.engine import NegotiationEngine
 from repro.services.tn_client import TNClient
 from repro.services.tn_service import SESSION_COLLECTION, TNWebService
 from repro.services.transport import SimTransport
@@ -39,12 +41,22 @@ def parties(agent_factory, infn, aaa_authority, shared_keypair, other_keypair):
 def make_session_store(request, tmp_path):
     """Factory returning the same logical store on each call — for the
     WAL backend a fresh instance re-recovers from the same file, which
-    is exactly what a restarted process would do."""
+    is exactly what a restarted process would do.  Every WAL instance
+    is closed at teardown."""
     if request.param == "memory":
         store = InMemorySessionStore()
-        return lambda: store
+        yield lambda: store
+        return
     path = tmp_path / "sessions.wal"
-    return lambda: WALSessionStore(path)
+    opened: list[WALSessionStore] = []
+
+    def make() -> WALSessionStore:
+        opened.append(WALSessionStore(path))
+        return opened[-1]
+
+    yield make
+    for store in opened:
+        store.close()
 
 
 def run_policy_phase(transport, requester):
@@ -209,3 +221,76 @@ class TestTTLReanchor:
         transport.clock.advance(5_001.0)
         assert restored.reap_expired() == 1
         assert restored.sessions()[nid].phase == "expired"
+
+
+class TestServedResult:
+    """A served session keeps one tree-less result: the object the
+    client got, the object every repeat returns."""
+
+    def _exchange(self, transport, nid, seq):
+        return transport.call("urn:tn", "CredentialExchange", {
+            "negotiationId": nid, "clientSeq": seq,
+        })
+
+    def test_served_terminal_session_holds_no_tree(
+        self, parties, make_session_store
+    ):
+        requester, controller = parties
+        transport = SimTransport()
+        service = TNWebService(
+            controller, transport, XMLDocumentStore("tn"), "urn:tn",
+            session_store=make_session_store(),
+        )
+        nid = run_policy_phase(transport, requester)
+        served = self._exchange(transport, nid, 2)["result"]
+        session = service.sessions()[nid]
+        assert session.terminal
+        assert session.result is served
+        assert served.success and served.tree is None
+        # the executed sequence and the transcript stay
+        assert served.sequence and served.sequence[-1].is_root
+        assert served.transcript
+
+    def test_repeat_exchange_returns_the_identical_object(
+        self, parties, make_session_store
+    ):
+        requester, controller = parties
+        transport = SimTransport()
+        TNWebService(
+            controller, transport, XMLDocumentStore("tn"), "urn:tn",
+            session_store=make_session_store(),
+        )
+        nid = run_policy_phase(transport, requester)
+        first = self._exchange(transport, nid, 2)["result"]
+        assert self._exchange(transport, nid, 2)["result"] is first
+        assert self._exchange(transport, nid, 3)["result"] is first
+
+    def test_audit_record_matches_the_engine_result(self, parties):
+        requester, controller = parties
+        direct = NegotiationEngine(requester, controller).run(
+            "VoMembership", at=NEGOTIATION_AT
+        )
+        assert direct.tree is not None
+        transport = SimTransport()
+        TNWebService(controller, transport, XMLDocumentStore("tn"), "urn:tn")
+        nid = run_policy_phase(transport, requester)
+        served = self._exchange(transport, nid, 2)["result"]
+        assert served.tree is None
+        assert served.to_audit_json() == direct.to_audit_json()
+        assert served.transcript == direct.transcript
+        assert [node.node_id for node in served.sequence] == [
+            node.node_id for node in direct.sequence
+        ]
+
+    def test_sequence_cache_still_learns_the_sequence(self, parties):
+        requester, controller = parties
+        transport = SimTransport()
+        cache = SequenceCache()
+        TNWebService(
+            controller, transport, XMLDocumentStore("tn"), "urn:tn",
+            cache=cache,
+        )
+        nid = run_policy_phase(transport, requester)
+        self._exchange(transport, nid, 2)
+        entry = cache.lookup(requester.name, controller.name, "VoMembership")
+        assert entry is not None and entry.steps

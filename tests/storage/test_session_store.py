@@ -9,6 +9,7 @@ from repro.storage.session_store import (
     InMemorySessionStore,
     WALSessionStore,
 )
+from repro.xmlutil.canonical import canonicalize
 
 
 def checkpoint(session_id: str, phase: str) -> ET.Element:
@@ -141,3 +142,98 @@ class TestWALRecovery:
         wal = WALSessionStore(tmp_path / "absent.wal")
         assert wal.records() == 0
         assert wal.latest() == {}
+
+
+def _replay(path) -> tuple:
+    """(records, last_lsn, canonical latest) of a fresh reopen."""
+    reopened = WALSessionStore(path)
+    try:
+        return (
+            reopened.records(),
+            reopened.last_lsn,
+            {sid: canonicalize(el) for sid, el in reopened.latest().items()},
+        )
+    finally:
+        reopened.close()
+
+
+class TestWALTears:
+    def test_two_tears_without_append_fall_back_two_records(self, tmp_path):
+        path = tmp_path / "sessions.wal"
+        wal = WALSessionStore(path)
+        wal.append("tn-1", checkpoint("tn-1", "started"))
+        wal.append("tn-2", checkpoint("tn-2", "started"))
+        wal.append("tn-1", checkpoint("tn-1", "policy"))
+        wal.append("tn-2", checkpoint("tn-2", "policy"))
+        assert wal.tear_last_record() and wal.tear_last_record()
+        assert wal.records() == wal.last_lsn == 2
+        assert wal.torn_discarded == 2
+        live = {sid: canonicalize(el) for sid, el in wal.latest().items()}
+        assert live == {
+            "tn-1": canonicalize(checkpoint("tn-1", "started")),
+            "tn-2": canonicalize(checkpoint("tn-2", "started")),
+        }
+        assert _replay(path) == (2, 2, live)
+
+    def test_tear_after_tear_and_append_matches_reopen(self, tmp_path):
+        path = tmp_path / "sessions.wal"
+        wal = WALSessionStore(path)
+        for phase in ("started", "policy", "exchange"):
+            wal.append("tn-1", checkpoint("tn-1", phase))
+        wal.tear_last_record()
+        wal.append("tn-1", checkpoint("tn-1", "expired"))
+        wal.tear_last_record()
+        wal.tear_last_record()
+        wal.append("tn-2", checkpoint("tn-2", "started"))
+        live = {sid: canonicalize(el) for sid, el in wal.latest().items()}
+        assert live["tn-1"] == canonicalize(checkpoint("tn-1", "started"))
+        assert (wal.records(), wal.last_lsn) == (2, 2)
+        wal.close()
+        assert _replay(path) == (2, 2, live)
+
+    def test_tear_keeps_torn_bytes_until_the_next_append(self, tmp_path):
+        path = tmp_path / "sessions.wal"
+        wal = WALSessionStore(path)
+        wal.append("tn-1", checkpoint("tn-1", "started"))
+        wal.append("tn-1", checkpoint("tn-1", "policy"))
+        committed = path.read_bytes()
+        wal.tear_last_record()
+        torn = path.read_bytes()
+        first_line = committed[: committed.index(b"\n") + 1]
+        assert torn.startswith(first_line) and len(torn) > len(first_line)
+        assert not torn.endswith(b"\n")
+        wal.append("tn-1", checkpoint("tn-1", "exchange"))
+        wal.close()
+        assert path.read_bytes().startswith(first_line)
+        assert path.read_bytes().count(b"\n") == 2
+
+
+class TestWALHandle:
+    def test_read_only_reopen_opens_no_handle(self, tmp_path):
+        path = tmp_path / "sessions.wal"
+        wal = WALSessionStore(path)
+        wal.append("tn-1", checkpoint("tn-1", "started"))
+        assert wal._handle is not None
+        wal.close()
+        reader = WALSessionStore(path)
+        assert reader.records() == 1 and reader.latest()
+        assert reader._handle is None
+
+    def test_close_is_idempotent_and_append_reopens(self, tmp_path):
+        path = tmp_path / "sessions.wal"
+        wal = WALSessionStore(path)
+        wal.close()
+        wal.append("tn-1", checkpoint("tn-1", "started"))
+        wal.close()
+        wal.close()
+        assert wal._handle is None
+        wal.append("tn-1", checkpoint("tn-1", "policy"))
+        wal.close()
+        assert _replay(path)[:2] == (2, 2)
+
+    def test_tear_releases_the_handle(self, tmp_path):
+        wal = WALSessionStore(tmp_path / "sessions.wal")
+        wal.append("tn-1", checkpoint("tn-1", "started"))
+        wal.tear_last_record()
+        assert wal._handle is None
+        assert wal.records() == 0 and wal.latest() == {}
